@@ -45,6 +45,9 @@ use std::time::Duration;
 use subwarp_bench as x;
 use subwarp_core::SimError;
 use subwarp_stats::{mean, BarChart, Table};
+use subwarp_sweep::{
+    chaos_sweep, holes_observed, install_global_policy, job_error_to_sim, Journal, SweepPolicy,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -95,16 +98,16 @@ fn main() {
         }
     }
     if resume || journal_path.is_some() || deadline_secs.is_some() || attempts > 1 {
-        let mut policy = x::SweepPolicy {
+        let mut policy = SweepPolicy {
             deadline: deadline_secs.map(Duration::from_secs),
             max_attempts: attempts,
-            ..x::SweepPolicy::default()
+            ..SweepPolicy::default()
         };
         if resume || journal_path.is_some() {
             let path = journal_path
                 .clone()
                 .unwrap_or_else(|| "results/figures_journal.jsonl".into());
-            match x::Journal::open(&path) {
+            match Journal::open(&path) {
                 Ok(j) => {
                     eprintln!("journal: {path} ({} cells restored)", j.restored());
                     policy.journal = Some(Arc::new(j));
@@ -115,7 +118,7 @@ fn main() {
                 }
             }
         }
-        x::install_global_policy(policy);
+        install_global_policy(policy);
     }
     if which.is_empty() && !trace_files.is_empty() {
         which = vec!["trace"];
@@ -132,7 +135,7 @@ fn main() {
     let mut csvs: Vec<(String, String)> = Vec::new();
     let mut failed: Vec<(String, usize)> = Vec::new();
     for w in which {
-        let holes_before = x::holes_observed();
+        let holes_before = holes_observed();
         let result = match w {
             "fig3" => fig3(&mut csvs),
             "table3" => table3(&mut csvs),
@@ -157,7 +160,7 @@ fn main() {
         };
         if let Err(e) = result {
             println!("FAILED({w}): {e}");
-            failed.push((w.to_string(), x::holes_observed() - holes_before));
+            failed.push((w.to_string(), holes_observed() - holes_before));
         }
         println!();
     }
@@ -192,7 +195,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let total = x::holes_observed();
+        let total = holes_observed();
         if total > budget {
             eprintln!("{total} sweep hole(s) exceed --max-holes {budget}");
             std::process::exit(1);
@@ -245,7 +248,7 @@ fn trace_figure(files: &[String], csvs: &mut Vec<(String, String)>) -> Result<()
 /// these injected faults, is always.
 fn chaos() -> Result<(), SimError> {
     banner("Chaos smoke: supervised sweep under injected faults");
-    let (sweep, policy) = x::chaos_sweep();
+    let (sweep, policy) = chaos_sweep();
     // The injected panics are expected: silence their backtraces so the
     // smoke output stays readable. catch_unwind still captures payloads.
     let default_hook = std::panic::take_hook();
@@ -279,7 +282,7 @@ fn chaos() -> Result<(), SimError> {
     );
     match holes.into_iter().next() {
         None => Ok(()),
-        Some(first) => Err(x::job_error_to_sim(first.clone())),
+        Some(first) => Err(job_error_to_sim(first.clone())),
     }
 }
 

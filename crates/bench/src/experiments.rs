@@ -1,7 +1,6 @@
 //! Experiment implementations. Each returns plain data so the `figures`
-//! binary, the criterion benches, and the integration tests can all share
-//! them. Every experiment propagates simulation failures as
-//! [`SimError`] instead of panicking.
+//! binary and the integration tests can share them. Every experiment
+//! propagates simulation failures as [`SimError`] instead of panicking.
 //!
 //! Experiments are expressed as [`Sweep`] grids — named simulator
 //! configurations crossed with shared, prebuilt workloads — so every

@@ -18,28 +18,12 @@
 //! | [`ablation_diverge_order`] | §VI limiter #3 — divergent-path order |
 //! | [`mem_sweep`] | beyond the paper — SI speedup vs measured miss latency and DRAM bandwidth on the hierarchical memory backend |
 //!
-//! The `figures` binary formats these as tables and ASCII charts; the
-//! criterion benches under `benches/` time representative slices.
+//! The `figures` binary formats these as tables and ASCII charts.
 //!
-//! The sweep engine itself — [`Sweep`], [`run_resilient`], [`Journal`],
-//! fingerprints — lives in the `subwarp-sweep` crate (shared with the
-//! `subwarp-serve` daemon) and is re-exported here so existing callers
-//! keep compiling unchanged.
+//! Every experiment is a `subwarp_sweep::Sweep` grid; the sweep engine
+//! (resilient runs, journals, fingerprints) lives in the `subwarp-sweep`
+//! crate, shared with the `subwarp-serve` daemon.
 
 pub mod experiments;
 
-/// Compatibility shim: the fault-tolerant sweep layer moved to the
-/// `subwarp-sweep` crate; `subwarp_bench::resilient::*` paths keep working.
-pub mod resilient {
-    pub use subwarp_sweep::{
-        cell_fingerprint, chaos_sweep, global_policy, holes_observed, install_global_policy,
-        job_error_to_sim, lock_path_for, run_resilient, workload_hash, Journal, PartialGrid,
-        SweepPolicy,
-    };
-}
-
 pub use experiments::*;
-pub use subwarp_sweep::{
-    cell_fingerprint, chaos_sweep, global_policy, holes_observed, install_global_policy,
-    job_error_to_sim, run_resilient, workload_hash, Journal, PartialGrid, Sweep, SweepPolicy,
-};

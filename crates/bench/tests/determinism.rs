@@ -3,9 +3,9 @@
 //!
 //! The full-suite check simulates the Figure 12a grid twice (70 runs each
 //! way), which is cheap in release but minutes in debug — so it is gated
-//! to optimized builds (CI's perf-smoke job runs the test suite in
-//! release). The toy-scale check in `experiments.rs`'s unit tests covers
-//! debug builds.
+//! to optimized builds (CI's `test` job runs the test suite in release).
+//! The toy-scale check in `experiments.rs`'s unit tests covers debug
+//! builds.
 
 #![cfg(not(debug_assertions))]
 

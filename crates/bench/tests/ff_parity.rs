@@ -5,8 +5,8 @@
 //! are stepped serially or fast-forwarded in bulk.
 
 use subwarp_bench::si_configs;
-use subwarp_bench::Sweep;
 use subwarp_core::{SiConfig, SmConfig};
+use subwarp_sweep::Sweep;
 
 #[test]
 fn fig12a_grid_is_identical_with_and_without_fast_forward() {

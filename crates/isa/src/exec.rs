@@ -304,70 +304,6 @@ impl RegFile {
     }
 }
 
-/// Per-thread architectural state: one lane's view of a [`RegFile`], sized
-/// at the architectural maximum of [`N_REG`] registers and [`N_PRED`]
-/// predicates.
-///
-/// This is the standalone single-thread harness (unit tests, functional
-/// spot-checks). The warp-level timing model holds one shared [`RegFile`]
-/// instead of 32 of these, for cache locality.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThreadCtx {
-    rf: RegFile,
-}
-
-impl Default for ThreadCtx {
-    fn default() -> Self {
-        ThreadCtx {
-            rf: RegFile::new(1, N_REG),
-        }
-    }
-}
-
-impl ThreadCtx {
-    /// A zero-initialized thread context.
-    pub fn new() -> ThreadCtx {
-        ThreadCtx::default()
-    }
-
-    /// Resets this context to the launch state (all registers and predicates
-    /// zero) without reallocating.
-    pub fn reset(&mut self) {
-        self.rf.reset(N_REG);
-    }
-
-    /// Reads a register (`RZ` reads as 0).
-    pub fn reg(&self, r: Reg) -> u64 {
-        self.rf.reg(0, r)
-    }
-
-    /// Writes a register (writes to `RZ` are discarded).
-    pub fn write_reg(&mut self, r: Reg, v: u64) {
-        self.rf.write_reg(0, r, v);
-    }
-
-    /// Reads a predicate (`PT` reads as true).
-    pub fn pred(&self, p: Pred) -> bool {
-        self.rf.pred(0, p)
-    }
-
-    /// Writes a predicate (writes to `PT` are discarded).
-    pub fn write_pred(&mut self, p: Pred, v: bool) {
-        self.rf.write_pred(0, p, v);
-    }
-
-    /// Evaluates an instruction's guard for this thread.
-    pub fn guard_passes(&self, inst: &Instruction) -> bool {
-        self.rf.guard_passes(0, inst)
-    }
-
-    /// Applies one instruction's value semantics to this thread; see
-    /// [`RegFile::step`].
-    pub fn step(&mut self, inst: &Instruction, consts: &ConstMem) -> Effect {
-        self.rf.step(0, inst, consts)
-    }
-}
-
 /// A source operand resolved once per instruction rather than once per lane.
 ///
 /// Immediates and constant-bank reads are lane-invariant, so the vectorized
@@ -661,22 +597,28 @@ mod tests {
     use super::*;
     use crate::reg::Scoreboard;
 
-    fn ctx() -> (ThreadCtx, ConstMem) {
-        (ThreadCtx::new(), ConstMem::new())
+    /// The lane every single-lane test runs on: not lane 0, so the
+    /// register-major indexing is exercised too.
+    const L: usize = 5;
+
+    /// A warp-wide file at the architectural register count, plus empty
+    /// constant banks.
+    fn ctx() -> (RegFile, ConstMem) {
+        (RegFile::new(32, N_REG), ConstMem::new())
     }
 
     #[test]
     fn rz_reads_zero_and_discards_writes() {
         let (mut t, _) = ctx();
-        t.write_reg(Reg::RZ, 42);
-        assert_eq!(t.reg(Reg::RZ), 0);
+        t.write_reg(L, Reg::RZ, 42);
+        assert_eq!(t.reg(L, Reg::RZ), 0);
     }
 
     #[test]
     fn pt_reads_true_and_discards_writes() {
         let (mut t, _) = ctx();
-        t.write_pred(Pred::PT, false);
-        assert!(t.pred(Pred::PT));
+        t.write_pred(L, Pred::PT, false);
+        assert!(t.pred(L, Pred::PT));
     }
 
     #[test]
@@ -700,8 +642,9 @@ mod tests {
     #[test]
     fn integer_math() {
         let (mut t, c) = ctx();
-        t.write_reg(Reg(1), 10);
+        t.write_reg(L, Reg(1), 10);
         t.step(
+            L,
             &Op::IAdd {
                 dst: Reg(0),
                 a: Reg(1),
@@ -710,8 +653,9 @@ mod tests {
             .into(),
             &c,
         );
-        assert_eq!(t.reg(Reg(0)), 15);
+        assert_eq!(t.reg(L, Reg(0)), 15);
         t.step(
+            L,
             &Op::IMad {
                 dst: Reg(2),
                 a: Reg(1),
@@ -721,8 +665,9 @@ mod tests {
             .into(),
             &c,
         );
-        assert_eq!(t.reg(Reg(2)), 37);
+        assert_eq!(t.reg(L, Reg(2)), 37);
         t.step(
+            L,
             &Op::Shl {
                 dst: Reg(3),
                 a: Reg(1),
@@ -731,14 +676,15 @@ mod tests {
             .into(),
             &c,
         );
-        assert_eq!(t.reg(Reg(3)), 40);
+        assert_eq!(t.reg(L, Reg(3)), 40);
     }
 
     #[test]
     fn float_math_uses_low_32_bits() {
         let (mut t, c) = ctx();
-        t.write_reg(Reg(1), 2.5f32.to_bits() as u64);
+        t.write_reg(L, Reg(1), 2.5f32.to_bits() as u64);
         t.step(
+            L,
             &Op::FMul {
                 dst: Reg(0),
                 a: Reg(1),
@@ -747,8 +693,9 @@ mod tests {
             .into(),
             &c,
         );
-        assert_eq!(f32::from_bits(t.reg(Reg(0)) as u32), 10.0);
+        assert_eq!(f32::from_bits(t.reg(L, Reg(0)) as u32), 10.0);
         t.step(
+            L,
             &Op::FFma {
                 dst: Reg(2),
                 a: Reg(1),
@@ -758,14 +705,15 @@ mod tests {
             .into(),
             &c,
         );
-        assert_eq!(f32::from_bits(t.reg(Reg(2)) as u32), 6.0);
+        assert_eq!(f32::from_bits(t.reg(L, Reg(2)) as u32), 6.0);
     }
 
     #[test]
     fn isetp_sets_predicates() {
         let (mut t, c) = ctx();
-        t.write_reg(Reg(1), 7);
+        t.write_reg(L, Reg(1), 7);
         t.step(
+            L,
             &Op::ISetp {
                 dst: Pred(0),
                 a: Reg(1),
@@ -775,8 +723,9 @@ mod tests {
             .into(),
             &c,
         );
-        assert!(t.pred(Pred(0)));
+        assert!(t.pred(L, Pred(0)));
         t.step(
+            L,
             &Op::ISetp {
                 dst: Pred(1),
                 a: Reg(1),
@@ -786,27 +735,28 @@ mod tests {
             .into(),
             &c,
         );
-        assert!(!t.pred(Pred(1)));
+        assert!(!t.pred(L, Pred(1)));
     }
 
     #[test]
     fn guard_evaluation() {
         let (mut t, _) = ctx();
-        t.write_pred(Pred(0), true);
+        t.write_pred(L, Pred(0), true);
         let i = Instruction::new(Op::Nop).with_guard(Pred(0), false);
-        assert!(t.guard_passes(&i));
+        assert!(t.guard_passes(L, &i));
         let i = Instruction::new(Op::Nop).with_guard(Pred(0), true);
-        assert!(!t.guard_passes(&i));
+        assert!(!t.guard_passes(L, &i));
         let i = Instruction::new(Op::Nop);
-        assert!(t.guard_passes(&i));
+        assert!(t.guard_passes(L, &i));
     }
 
     #[test]
     fn load_computes_effective_address_without_writing_dst() {
         let (mut t, c) = ctx();
-        t.write_reg(Reg(1), 0x1000);
-        t.write_reg(Reg(2), 0xdead);
+        t.write_reg(L, Reg(1), 0x1000);
+        t.write_reg(L, Reg(2), 0xdead);
         let e = t.step(
+            L,
             &Instruction::new(Op::Ldg {
                 dst: Reg(2),
                 addr: Reg(1),
@@ -823,7 +773,7 @@ mod tests {
             }
         );
         // dst untouched until writeback.
-        assert_eq!(t.reg(Reg(2)), 0xdead);
+        assert_eq!(t.reg(L, Reg(2)), 0xdead);
     }
 
     #[test]
@@ -831,6 +781,7 @@ mod tests {
         let (mut t, c) = ctx();
         assert_eq!(
             t.step(
+                L,
                 &Op::Bssy {
                     barrier: Barrier(0),
                     target: 9
@@ -845,6 +796,7 @@ mod tests {
         );
         assert_eq!(
             t.step(
+                L,
                 &Op::Bsync {
                     barrier: Barrier(0)
                 }
@@ -856,18 +808,19 @@ mod tests {
             }
         );
         assert_eq!(
-            t.step(&Op::Bra { target: 3 }.into(), &c),
+            t.step(L, &Op::Bra { target: 3 }.into(), &c),
             Effect::Branch { target: 3 }
         );
-        assert_eq!(t.step(&Op::Exit.into(), &c), Effect::Exit);
-        assert_eq!(t.step(&Op::Yield.into(), &c), Effect::Yield);
+        assert_eq!(t.step(L, &Op::Exit.into(), &c), Effect::Exit);
+        assert_eq!(t.step(L, &Op::Yield.into(), &c), Effect::Yield);
     }
 
     #[test]
     fn trace_ray_carries_ray_id() {
         let (mut t, c) = ctx();
-        t.write_reg(Reg(4), 1234);
+        t.write_reg(L, Reg(4), 1234);
         let e = t.step(
+            L,
             &Op::TraceRay {
                 dst: Reg(5),
                 ray: Reg(4),
@@ -887,8 +840,9 @@ mod tests {
     #[test]
     fn const_bank_defaults_to_one() {
         let (mut t, mut c) = ctx();
-        t.write_reg(Reg(5), 3.0f32.to_bits() as u64);
+        t.write_reg(L, Reg(5), 3.0f32.to_bits() as u64);
         t.step(
+            L,
             &Op::FMul {
                 dst: Reg(10),
                 a: Reg(5),
@@ -897,9 +851,10 @@ mod tests {
             .into(),
             &c,
         );
-        assert_eq!(f32::from_bits(t.reg(Reg(10)) as u32), 3.0);
+        assert_eq!(f32::from_bits(t.reg(L, Reg(10)) as u32), 3.0);
         c.set(1, 16, 2.0f32.to_bits() as u64);
         t.step(
+            L,
             &Op::FMul {
                 dst: Reg(10),
                 a: Reg(5),
@@ -908,14 +863,15 @@ mod tests {
             .into(),
             &c,
         );
-        assert_eq!(f32::from_bits(t.reg(Reg(10)) as u32), 6.0);
+        assert_eq!(f32::from_bits(t.reg(L, Reg(10)) as u32), 6.0);
     }
 
     #[test]
     fn mufu_rcp() {
         let (mut t, c) = ctx();
-        t.write_reg(Reg(1), 4.0f32.to_bits() as u64);
+        t.write_reg(L, Reg(1), 4.0f32.to_bits() as u64);
         t.step(
+            L,
             &Op::Mufu {
                 dst: Reg(0),
                 a: Reg(1),
@@ -924,6 +880,6 @@ mod tests {
             .into(),
             &c,
         );
-        assert_eq!(f32::from_bits(t.reg(Reg(0)) as u32), 0.25);
+        assert_eq!(f32::from_bits(t.reg(L, Reg(0)) as u32), 0.25);
     }
 }

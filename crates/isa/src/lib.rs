@@ -18,7 +18,7 @@
 //!
 //! Programs are built with [`ProgramBuilder`], which resolves labels and
 //! validates scoreboard usage. Functional semantics (register updates,
-//! branch decisions, address generation) live in [`ThreadCtx::step`].
+//! branch decisions, address generation) live in [`RegFile::step`].
 //!
 //! ```
 //! use subwarp_isa::{ProgramBuilder, Reg, Pred, Barrier, Scoreboard, Operand};
@@ -50,7 +50,7 @@ mod op;
 mod program;
 mod reg;
 
-pub use exec::{step_alu_masked, ConstMem, Effect, RegFile, ThreadCtx, N_PRED, N_REG};
+pub use exec::{step_alu_masked, ConstMem, Effect, RegFile, N_PRED, N_REG};
 pub use inst::{Instruction, StallHint};
 pub use op::{CmpOp, ExecUnit, MufuFunc, Op, Operand};
 pub use program::{InstRef, Label, Program, ProgramBuilder, ProgramError};

@@ -309,12 +309,12 @@ fn cycle_attribution_conserves_over_suite_and_fuzzer_grid() {
 
     let grid = subwarp_fuzz::config_grid();
     assert!(grid.len() >= 27, "fuzzer grid shrank to {}", grid.len());
-    let mut sweep = subwarp_bench::Sweep::over_suite();
+    let mut sweep = subwarp_sweep::Sweep::over_suite();
     for (label, sm, si) in &grid {
         sweep = sweep.config(label.clone(), sm.clone(), *si);
     }
     let results = sweep.run().expect("suite x fuzzer-grid simulates cleanly");
-    let suite = subwarp_bench::Sweep::over_suite();
+    let suite = subwarp_sweep::Sweep::over_suite();
     let names: Vec<String> = suite.workload_names().map(str::to_owned).collect();
     for (w, row) in results.iter().enumerate() {
         for (c, stats) in row.iter().enumerate() {
