@@ -17,38 +17,14 @@
 //! answer in bounded time. A background prober health-checks every shard
 //! with a hard deadline. `ping` and `stats` are answered locally.
 
-use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 use subwarp_serve::cluster::{route_connection, Router, RouterConfig};
+use subwarp_serve::listen::{accept_loop, install_signal_handlers, terminated, Conns};
 use subwarp_serve::wire::WireLimits;
-
-static TERM: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_term(_sig: i32) {
-    TERM.store(true, Ordering::SeqCst);
-}
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_term as extern "C" fn(i32) as usize;
-    unsafe {
-        signal(SIGTERM, handler);
-        signal(SIGINT, handler);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
 
 struct Args {
     listen: String,
@@ -154,59 +130,32 @@ fn main() {
         .local_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| args.listen.clone());
-    listener
-        .set_nonblocking(true)
-        .expect("set_nonblocking on listener");
-
     // Readiness line (CI and scripts wait for this exact prefix).
     println!(
         "subwarp-router listening on {local} (shards: {}, replicas follow the ring)",
         router.shard_addrs().join(",")
     );
 
-    let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-    let mut conn_id: u64 = 0;
-
-    while !TERM.load(Ordering::SeqCst) && !router.stopping() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(args.io_timeout);
-                let _ = stream.set_write_timeout(args.io_timeout);
-                conn_id += 1;
-                let id = conn_id;
-                if let Ok(clone) = stream.try_clone() {
-                    conns
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(id, clone);
-                }
-                let router = Arc::clone(&router);
-                let conns = Arc::clone(&conns);
-                let limits = WireLimits {
-                    max_line: args.max_line,
-                };
-                std::thread::spawn(move || {
-                    if let Ok(reader) = stream.try_clone() {
-                        let _ = route_connection(&router, BufReader::new(reader), &stream, limits);
-                    }
-                    conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
-                });
+    let conns = Arc::new(Conns::default());
+    let handler = {
+        let router = Arc::clone(&router);
+        let limits = WireLimits {
+            max_line: args.max_line,
+        };
+        move |_, stream: TcpStream, _| {
+            if let Ok(reader) = stream.try_clone() {
+                let _ = route_connection(&router, BufReader::new(reader), &stream, limits);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
-    }
+    };
+    let stop = || terminated() || router.stopping();
+    accept_loop(&listener, &conns, args.io_timeout, stop, handler).expect("non-blocking listener");
 
     eprintln!("subwarp-router: stopping...");
     router.shutdown();
     let _ = prober.join();
     // The router holds no durable state; cutting idle reads loses nothing.
-    for (_, stream) in conns.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
+    conns.cut(Duration::ZERO);
     println!("subwarp-router stopped: {}", router.stats_json());
     std::process::exit(0);
 }

@@ -25,43 +25,16 @@
 //! `renamed`, `dir-synced`): the process aborts at that step, which is how
 //! CI proves a `kill -9` at any instant leaves the journal intact.
 
-use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::Duration;
 
 use subwarp_core::FaultPlan;
+use subwarp_serve::listen::{accept_loop, install_signal_handlers, terminated, Conns};
 use subwarp_serve::server::Phase;
-use subwarp_serve::wire::{serve_connection, WireLimits};
+use subwarp_serve::wire::{tcp_handler, WireLimits};
 use subwarp_serve::{MemoStore, Server, ServerConfig};
 use subwarp_sweep::{CompactPolicy, CompactStep};
-
-/// Set by the signal handler; polled by the accept loop.
-static TERM: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_term(_sig: i32) {
-    // Only async-signal-safe work here: flip the flag, nothing else.
-    TERM.store(true, Ordering::SeqCst);
-}
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_term as extern "C" fn(i32) as usize;
-    unsafe {
-        signal(SIGTERM, handler);
-        signal(SIGINT, handler);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
 
 struct Args {
     listen: String,
@@ -328,65 +301,22 @@ fn main() {
         .local_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| args.listen.clone());
-    listener
-        .set_nonblocking(true)
-        .expect("set_nonblocking on listener");
-
     // Readiness line (CI and scripts wait for this exact prefix).
     println!(
         "subwarp-serve listening on {local} (store: {}, restored: {restored})",
         args.store.as_deref().unwrap_or("in-memory")
     );
 
-    let active = Arc::new(AtomicUsize::new(0));
-    let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-    let mut conn_id: u64 = 0;
-
-    while !TERM.load(Ordering::SeqCst) && server.phase() == Phase::Running {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nodelay(true);
-                // Slowloris defense: a peer that stalls mid-line (or never
-                // reads its replies) is cut after the deadline and counted
-                // in `conn_timeouts`.
-                let _ = stream.set_read_timeout(args.io_timeout);
-                let _ = stream.set_write_timeout(args.io_timeout);
-                conn_id += 1;
-                let id = conn_id;
-                if let Ok(clone) = stream.try_clone() {
-                    conns
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(id, clone);
-                }
-                active.fetch_add(1, Ordering::SeqCst);
-                let server = Arc::clone(&server);
-                let active = Arc::clone(&active);
-                let conns = Arc::clone(&conns);
-                let limits = WireLimits {
-                    max_line: args.max_line,
-                };
-                std::thread::spawn(move || {
-                    let client = peer.to_string();
-                    if let Ok(reader) = stream.try_clone() {
-                        let _ = serve_connection(
-                            &server,
-                            &client,
-                            BufReader::new(reader),
-                            &stream,
-                            limits,
-                        );
-                    }
-                    conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
-                    active.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
+    // Slowloris defense: a peer that stalls mid-line (or never reads its
+    // replies) is cut after `--io-timeout-ms` and counted in
+    // `conn_timeouts`.
+    let conns = Arc::new(Conns::default());
+    let limits = WireLimits {
+        max_line: args.max_line,
+    };
+    let handler = tcp_handler(Arc::clone(&server), limits);
+    let stop = || terminated() || server.phase() != Phase::Running;
+    accept_loop(&listener, &conns, args.io_timeout, stop, handler).expect("non-blocking listener");
 
     // Graceful drain: stop admitting, answer every accepted job (journaled
     // before the reply), then stop the dispatcher.
@@ -395,16 +325,9 @@ fn main() {
     server.join();
 
     // Wake connection threads idling in read: accepted work has already
-    // been answered, so cutting the read side loses nothing.
-    for (_, stream) in conns.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    // Give reply writers a bounded window to finish flushing.
-    let mut waited = Duration::ZERO;
-    while active.load(Ordering::SeqCst) > 0 && waited < Duration::from_secs(5) {
-        std::thread::sleep(Duration::from_millis(10));
-        waited += Duration::from_millis(10);
-    }
+    // been answered, so cutting the read side loses nothing. Reply writers
+    // get a bounded window to finish flushing.
+    conns.cut(Duration::from_secs(5));
 
     println!("subwarp-serve drained: {}", server.stats_json());
     std::process::exit(0);

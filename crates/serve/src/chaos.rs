@@ -16,9 +16,11 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+use crate::listen::{accept_loop, Conns};
 
 /// What the proxy does to one connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +118,7 @@ impl ChaosPlan {
 pub struct ChaosProxy {
     addr: String,
     stop: Arc<AtomicBool>,
-    accepted: Arc<AtomicU64>,
+    conns: Arc<Conns>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -126,34 +128,23 @@ impl ChaosProxy {
     pub fn spawn(upstream: &str, plan: ChaosPlan) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let accepted = Arc::new(AtomicU64::new(0));
+        let conns = Arc::new(Conns::default());
         let upstream = upstream.to_owned();
         let handle = {
             let stop = Arc::clone(&stop);
-            let accepted = Arc::clone(&accepted);
+            let conns = Arc::clone(&conns);
             std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((client, _)) => {
-                            let conn = accepted.fetch_add(1, Ordering::SeqCst);
-                            let fate = plan.fate(conn);
-                            let upstream = upstream.clone();
-                            std::thread::spawn(move || handle_conn(client, &upstream, fate));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
+                let stop = || stop.load(Ordering::SeqCst);
+                let _ = accept_loop(&listener, &conns, None, stop, move |conn, client, _| {
+                    handle_conn(client, &upstream, plan.fate(conn))
+                });
             })
         };
         Ok(ChaosProxy {
             addr,
             stop,
-            accepted,
+            conns,
             handle: Some(handle),
         })
     }
@@ -165,7 +156,7 @@ impl ChaosProxy {
 
     /// Connections accepted so far.
     pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::SeqCst)
+        self.conns.accepted()
     }
 
     /// Stops the listener (idempotent; also runs on drop). In-flight piped
@@ -185,7 +176,6 @@ impl Drop for ChaosProxy {
 }
 
 fn handle_conn(client: TcpStream, upstream: &str, fate: ConnFate) {
-    let _ = client.set_nodelay(true);
     match fate {
         ConnFate::Refuse => {
             let _ = client.shutdown(Shutdown::Both);

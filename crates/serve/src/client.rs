@@ -2,8 +2,8 @@
 //! the `subwarp-router` shard dialer, and the end-to-end tests.
 
 use std::io::{BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
 
 use crate::json::{parse, Value};
 use crate::wire::{read_bounded_line, BoundedLine};
@@ -26,17 +26,17 @@ impl Client {
 
     /// Connects with a connect deadline and per-request read/write
     /// deadlines — the router's dialer: a dead or wedged shard costs a
-    /// bounded wait, never a hung router thread.
+    /// bounded wait, never a hung router thread. Every address `addr`
+    /// resolves to is tried in turn within the one connect deadline, so a
+    /// `localhost` that resolves to `::1` first still reaches a daemon
+    /// listening on `127.0.0.1`.
     pub fn connect_with_deadlines(
         addr: &str,
         connect_timeout: Duration,
         io_timeout: Option<Duration>,
     ) -> std::io::Result<Client> {
-        let sock = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "no address"))?;
-        let stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        let stream = connect_any(&addrs, connect_timeout)?;
         stream.set_read_timeout(io_timeout)?;
         stream.set_write_timeout(io_timeout)?;
         Client::from_stream(stream)
@@ -90,5 +90,50 @@ impl Client {
                 format!("bad reply `{raw}`: {e}"),
             )
         })
+    }
+}
+
+/// Dials each of `addrs` in order until one connects, all within `timeout`;
+/// on failure returns the last address's error.
+fn connect_any(addrs: &[SocketAddr], timeout: Duration) -> std::io::Result<TcpStream> {
+    let deadline = Instant::now() + timeout;
+    let mut last = std::io::Error::new(std::io::ErrorKind::NotFound, "no address");
+    for addr in addrs {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                format!("connect deadline passed before trying {addr}: {last}"),
+            ));
+        }
+        match TcpStream::connect_timeout(addr, left) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connect_any_skips_a_refused_address() {
+        // A port nobody listens on: bind one, then close it.
+        let closed = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let live = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = [closed, live.local_addr().unwrap()];
+        let stream = connect_any(&addrs, Duration::from_secs(5)).unwrap();
+        assert_eq!(stream.peer_addr().unwrap(), addrs[1]);
+
+        let err = connect_any(&[closed], Duration::from_secs(5)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+        let err = connect_any(&[], Duration::from_secs(5)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
     }
 }

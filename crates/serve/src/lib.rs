@@ -8,6 +8,7 @@
 //! | [`store`] | fingerprint-keyed memo store over the locked sweep journal |
 //! | [`server`] | admission control, coalescing, supervised dispatch, drain |
 //! | [`wire`] | NDJSON request/reply protocol over any byte stream |
+//! | [`listen`] | the shared accept loop, connection registry, SIGTERM flag |
 //! | [`client`] | blocking client used by `loadgen`, the router, and tests |
 //! | [`cluster`] | fingerprint-sharded routing, health checks, failover |
 //! | [`chaos`] | deterministic network fault injection for tests |
@@ -39,6 +40,7 @@ pub mod chaos;
 pub mod client;
 pub mod cluster;
 pub mod json;
+pub mod listen;
 pub mod server;
 pub mod spec;
 pub mod store;

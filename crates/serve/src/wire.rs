@@ -17,7 +17,9 @@
 //! (`u`, `ch`), so a result served from the memo store after a restart is
 //! **byte-identical** to the line the original simulation produced.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 
 use subwarp_core::RunStats;
 use subwarp_sweep::{json_escape, stats_to_units};
@@ -260,6 +262,21 @@ pub fn serve_connection<R: BufRead, W: Write>(
         writer.flush()?;
         if shutdown {
             return Ok(true);
+        }
+    }
+}
+
+/// The daemon's TCP connection handler for
+/// [`accept_loop`](crate::listen::accept_loop): serves `server` on each
+/// accepted stream, naming the client by its peer address.
+pub fn tcp_handler(
+    server: Arc<Server>,
+    limits: WireLimits,
+) -> impl Fn(u64, TcpStream, SocketAddr) + Send + Sync + 'static {
+    move |_, stream, peer| {
+        if let Ok(reader) = stream.try_clone() {
+            let client = peer.to_string();
+            let _ = serve_connection(&server, &client, BufReader::new(reader), &stream, limits);
         }
     }
 }

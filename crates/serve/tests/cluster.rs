@@ -17,7 +17,8 @@ use subwarp_pool::Backoff;
 use subwarp_serve::chaos::{ChaosPlan, ChaosProxy};
 use subwarp_serve::cluster::{Router, RouterConfig};
 use subwarp_serve::json::parse;
-use subwarp_serve::wire::{serve_connection, WireLimits};
+use subwarp_serve::listen::{accept_loop, Conns};
+use subwarp_serve::wire::{tcp_handler, WireLimits};
 use subwarp_serve::{JobSpec, MemoStore, Phase, Server, ServerConfig};
 
 fn shard_config() -> ServerConfig {
@@ -38,6 +39,7 @@ fn shard_config() -> ServerConfig {
 struct Shard {
     server: Arc<Server>,
     addr: String,
+    conns: Arc<Conns>,
     accept: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -54,39 +56,20 @@ impl Shard {
         let listener = bind_with_retry(addr);
         let addr = listener.local_addr().unwrap().to_string();
         let server = Server::start(shard_config(), store);
+        let conns = Arc::new(Conns::default());
         let accept = {
             let server = Arc::clone(&server);
+            let conns = Arc::clone(&conns);
             std::thread::spawn(move || {
-                listener.set_nonblocking(true).unwrap();
-                while server.phase() == Phase::Running {
-                    match listener.accept() {
-                        Ok((stream, peer)) => {
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(io_timeout);
-                            let _ = stream.set_write_timeout(io_timeout);
-                            let server = Arc::clone(&server);
-                            std::thread::spawn(move || {
-                                let reader = BufReader::new(stream.try_clone().unwrap());
-                                let _ = serve_connection(
-                                    &server,
-                                    &peer.to_string(),
-                                    reader,
-                                    &stream,
-                                    limits,
-                                );
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
+                let handler = tcp_handler(Arc::clone(&server), limits);
+                let stop = || server.phase() != Phase::Running;
+                accept_loop(&listener, &conns, io_timeout, stop, handler).unwrap();
             })
         };
         Shard {
             server,
             addr,
+            conns,
             accept: Some(accept),
         }
     }
@@ -100,14 +83,16 @@ impl Shard {
         )
     }
 
-    /// Stops the shard: drains accepted work, waits for the accept loop to
-    /// exit so the port is actually released.
+    /// Stops the shard like the daemon does: drains accepted work, waits
+    /// for the accept loop to exit so the port is actually released, then
+    /// cuts idle connections so their handlers let go of the store.
     fn stop(mut self) {
         self.server.drain();
         self.server.join();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
+        self.conns.cut(Duration::from_secs(5));
     }
 }
 

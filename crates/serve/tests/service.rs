@@ -7,16 +7,16 @@
 //! [`Server`] API directly so timing-sensitive assertions (coalescing,
 //! shedding) can use deterministic injected delays instead of sleeps.
 
-use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use subwarp_core::{FaultKind, FaultPlan, RunStats};
 use subwarp_serve::json::parse;
+use subwarp_serve::listen::{accept_loop, Conns};
 use subwarp_serve::server::JobReply;
-use subwarp_serve::wire::{serve_connection, WireLimits};
+use subwarp_serve::wire::{tcp_handler, WireLimits};
 use subwarp_serve::{Client, JobSpec, MemoStore, Phase, Server, ServerConfig, Submitted};
 
 /// A small config sized for single-core CI: tiny batches, generous
@@ -44,28 +44,10 @@ fn spawn_listener(server: Arc<Server>) -> (String, std::thread::JoinHandle<()>) 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let handle = std::thread::spawn(move || {
-        listener.set_nonblocking(true).unwrap();
-        while server.phase() == Phase::Running {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let server = Arc::clone(&server);
-                    std::thread::spawn(move || {
-                        let reader = BufReader::new(stream.try_clone().unwrap());
-                        let _ = serve_connection(
-                            &server,
-                            &peer.to_string(),
-                            reader,
-                            &stream,
-                            WireLimits::default(),
-                        );
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => break,
-            }
-        }
+        let conns = Arc::new(Conns::default());
+        let handler = tcp_handler(Arc::clone(&server), WireLimits::default());
+        let stop = || server.phase() != Phase::Running;
+        accept_loop(&listener, &conns, None, stop, handler).unwrap();
     });
     (addr, handle)
 }
@@ -84,6 +66,30 @@ fn recv_ok(rx: &Receiver<JobReply>) -> (RunStats, bool) {
     rx.recv_timeout(Duration::from_secs(120))
         .expect("job must reach a definite state")
         .expect("job must succeed")
+}
+
+#[test]
+fn fresh_connections_are_accepted_on_arrival() {
+    let server = Server::start(test_config(), MemoStore::in_memory());
+    let (addr, listener) = spawn_listener(Arc::clone(&server));
+
+    // A loop that slept between polls would make each new connection wait
+    // for the next poll (~10 ms each, ~500 ms in total).
+    let started = Instant::now();
+    for _ in 0..50 {
+        let mut client = Client::connect(&addr).unwrap();
+        let pong = client.request(r#"{"cmd":"ping"}"#).unwrap();
+        assert_eq!(pong.bool_field("pong"), Some(true));
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "50 round trips took {took:?}"
+    );
+
+    server.drain();
+    server.join();
+    listener.join().unwrap();
 }
 
 #[test]
