@@ -132,3 +132,49 @@ fn private_partitions_opt_out_is_honored() {
         .expect("single-SM run");
     assert_eq!(a.1, base);
 }
+
+/// Pins the multi-SM shapes whose SMs share nothing — the fixed-latency
+/// stub, and private hierarchies (`shared_partitions = false`) — to the
+/// figures they produced when each SM ran to completion on its own before
+/// the next started. Every shape now steps through the one `(cycle, sm_id)`
+/// heap; SMs without shared state cannot observe that interleaving, so
+/// every per-SM figure must stay exactly as recorded.
+#[test]
+fn shareless_chips_keep_their_serial_figures() {
+    let wl = chip_workload();
+    let mut fixed = SmConfig::turing_like();
+    fixed.n_sms = 4;
+    let private = chip_sm(4).with_shared_partitions(false);
+    // (label, config, cycles, sm_cycles_total, mem.requests,
+    //  every SM's (cycles, cycle_causes))
+    let pins = [
+        (
+            "fixed",
+            fixed,
+            20309,
+            81236,
+            1024,
+            (20309, [1114, 18984, 0, 184, 21, 6, 0, 0]),
+        ),
+        (
+            "private",
+            private,
+            22873,
+            91492,
+            1024,
+            (22873, [1696, 21012, 0, 157, 3, 5, 0, 0]),
+        ),
+    ];
+    for (label, sm, cycles, total, requests, per_sm) in pins {
+        let s = Simulator::new(sm, SiConfig::best())
+            .run(&wl)
+            .expect("chip run");
+        assert_eq!(s.cycles, cycles, "{label}: cycles");
+        assert_eq!(s.sm_cycles_total, total, "{label}: sm_cycles_total");
+        assert_eq!(s.mem.requests, requests, "{label}: mem.requests");
+        assert_eq!(s.per_sm.len(), 4, "{label}: per_sm");
+        for (i, p) in s.per_sm.iter().enumerate() {
+            assert_eq!((p.cycles, p.cycle_causes), per_sm, "{label}: SM {i}");
+        }
+    }
+}

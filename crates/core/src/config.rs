@@ -43,12 +43,12 @@ pub enum DivergeOrder {
 /// SM hardware parameters (paper Table I).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SmConfig {
-    /// Streaming multiprocessors (Table I: 2; a full TU102 has 72). Warps
-    /// are distributed round-robin across SMs. With the fixed-latency stub
-    /// (§IV-A) SMs share nothing and each simulates independently; with the
-    /// hierarchical backend and [`shared_partitions`](Self::shared_partitions)
-    /// the SMs contend for one chip-wide L2/DRAM partition. Reported cycles
-    /// are the slowest SM's.
+    /// Streaming multiprocessors, 1 to 72 (Table I: 2; a full TU102 has
+    /// 72). Warps are distributed round-robin across SMs. With the
+    /// fixed-latency stub (§IV-A) SMs share nothing; with the hierarchical
+    /// backend and [`shared_partitions`](Self::shared_partitions) the SMs
+    /// contend for one chip-wide L2/DRAM partition. Reported cycles are the
+    /// slowest SM's.
     pub n_sms: usize,
     /// Share the memory partition (L2 banks, DRAM rows and channels) across
     /// all SMs of a multi-SM run (default: true). Only meaningful for
@@ -184,6 +184,11 @@ impl SmConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.n_sms == 0 {
             return Err("n_sms must be at least 1".into());
+        }
+        if self.n_sms > 72 {
+            // Every SM's state stays live for the whole run, so the cap at
+            // a full TU102 also bounds what one request can allocate.
+            return Err(format!("n_sms must be at most 72, got {}", self.n_sms));
         }
         if self.n_pbs == 0 {
             return Err("n_pbs must be at least 1".into());
@@ -439,6 +444,20 @@ mod tests {
         assert_eq!(c.l1d.size_bytes, 128 * 1024);
         assert_eq!(c.l0i.size_bytes, 16 * 1024);
         assert_eq!(c.l1i.size_bytes, 64 * 1024);
+    }
+
+    #[test]
+    fn n_sms_is_bounded_by_a_full_chip() {
+        let sm = |n| SmConfig {
+            n_sms: n,
+            ..SmConfig::turing_like()
+        };
+        assert!(sm(0).validate().is_err());
+        assert_eq!(sm(72).validate(), Ok(()));
+        assert_eq!(
+            sm(73).validate(),
+            Err("n_sms must be at most 72, got 73".to_string())
+        );
     }
 
     #[test]

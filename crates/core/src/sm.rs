@@ -9,6 +9,8 @@ use crate::stats::{CycleCause, RunStats};
 use crate::trace::{EventKind, EventRecorder, TraceEvent};
 use crate::warp::{lanes, IssueResult, MemKind, RtJob, WarpSim, WarpStatus};
 use crate::workload::Workload;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use subwarp_isa::{Program, Reg, Scoreboard};
 use subwarp_mem::{AccessKind, Cache, DataMemory, MemoryBackend, ServiceUnit};
 
@@ -132,6 +134,24 @@ impl Simulator {
         Ok((stats, image.expect("memory capture was requested")))
     }
 
+    /// The one run loop, for every SM count, backend and partition
+    /// setting: one backend per SM, stepped through a global min-heap keyed
+    /// by each SM's local clock — the unfinished SM with the smallest
+    /// `cycle` (ties broken by SM id) steps next.
+    ///
+    /// - **Determinism.** The interleaving is a pure function of the
+    ///   per-SM clocks, so every shared-backend `miss()` happens in a
+    ///   fixed order regardless of host thread count (`SUBWARP_JOBS`
+    ///   never enters — stepping is serial within one run). SMs that
+    ///   share nothing (one SM, the fixed stub, private hierarchies)
+    ///   cannot observe the interleaving at all.
+    /// - **Fast-forward soundness.** The heap keeps the global minimum
+    ///   nondecreasing, so `miss(now, ..)` calls arrive in nondecreasing
+    ///   `now` order chip-wide — the backend's analytic-at-issue contract
+    ///   holds exactly as in the single-SM case. An SM fast-forwards only
+    ///   through stretches where *it* issues nothing; other SMs'
+    ///   concurrent misses mutate shared state but cannot retroactively
+    ///   change this SM's already-computed completion times.
     fn run_inner(
         &self,
         wl: &Workload,
@@ -149,139 +169,30 @@ impl Simulator {
             workload: wl.name.clone(),
             what,
         })?;
-        // Chip dispatch: when more than one SM runs against a backend with
-        // shareable state (the hierarchical L2/DRAM partitions) and sharing
-        // is enabled, the SMs contend for it and must be co-scheduled in
-        // global-cycle order. Otherwise — one SM, the fixed-latency stub, or
-        // sharing explicitly disabled — SMs share nothing, and each
-        // simulates independently over its round-robin share of warps.
-        let shared_chip =
-            self.sm.n_sms > 1 && self.sm.shared_partitions && !self.sm.mem_backend.is_shareless();
-        if shared_chip {
-            return self.run_chip(wl, recorder, capture_memory, profiler);
-        }
-        let mut total = RunStats::default();
-        let mut merged_events: Vec<crate::trace::TraceEvent> = Vec::new();
-        // Stores from every SM are concatenated in SM order; finalization's
-        // last-wins rule then gives later SMs priority, matching the old
-        // ordered-map `extend` semantics.
-        let mut store_log = capture_memory.then(Vec::new);
-        for sm_id in 0..self.sm.n_sms {
-            let rec = recorder.as_ref().map(|_| EventRecorder::new());
-            if let Some(p) = profiler.as_deref_mut() {
-                p.begin_sm(sm_id);
-            }
-            // The profiler reference is moved into the SM state (and taken
-            // back after the run): `&mut dyn` is invariant in its object
-            // lifetime, so a per-iteration reborrow would not check.
-            let mut st = SimState::new(
-                &self.sm,
-                &self.si,
-                wl,
-                rec,
-                sm_id,
-                capture_memory,
-                profiler.take(),
-                None,
-            );
-            while !st.finished() {
-                st.step()?;
-            }
-            // Cycle-attribution conservation: every cycle this SM simulated
-            // — including fast-forwarded stretches — must land in exactly
-            // one cause bucket. Always checked; it is one sum per run.
-            let attributed = st.stats.causes_total();
-            if attributed != st.stats.cycles {
-                return Err(SimError::InvariantViolation {
-                    workload: wl.name.clone(),
-                    what: format!(
-                        "cycle-attribution conservation violated on SM {sm_id}: \
-                         per-cause sum {attributed} != cycles {}",
-                        st.stats.cycles
-                    ),
-                    snapshot: st.snapshot(),
-                });
-            }
-            st.stats.phase_nanos = st.phase_nanos;
-            st.stats.l1i = st.l1i.stats();
-            st.stats.l1d = st.l1d.stats();
-            st.stats.mem = st.backend.stats();
-            for l0 in &st.l0i {
-                st.stats.l0i.hits += l0.stats().hits;
-                st.stats.l0i.misses += l0.stats().misses;
-            }
-            if self.sm.n_sms > 1 {
-                total.per_sm.push(st.stats.clone());
-            }
-            total.accumulate_sm(&st.stats);
-            let final_cycle = st.stats.cycles;
-            profiler = st.profiler.take();
-            if let Some(r) = st.recorder {
-                merged_events.extend(r.events().iter().cloned());
-            }
-            if let (Some(all), Some(sm)) = (store_log.as_mut(), st.mem_image) {
-                all.extend(sm);
-            }
-            if let Some(p) = profiler.as_deref_mut() {
-                p.end_sm(final_cycle);
-            }
-        }
-        let recorder = recorder.map(|_| {
-            merged_events.sort_by_key(|e| (e.cycle, e.warp));
-            let mut r = EventRecorder::new();
-            for e in merged_events {
-                r.record(e);
-            }
-            r
-        });
-        Ok((total, recorder, store_log.map(MemoryImage::from_log)))
-    }
-
-    /// Full-chip run: N SMs contending for one shared set of memory
-    /// partitions (banked L2, DRAM channels/rows — paper Sec. VI).
-    ///
-    /// Stepping is event-driven over a global min-heap keyed by each SM's
-    /// local clock: the unfinished SM with the smallest `cycle` (ties broken
-    /// by SM id) steps next. Two properties follow:
-    ///
-    /// - **Determinism.** The interleaving is a pure function of the per-SM
-    ///   clocks, so every shared-backend `miss()` happens in a fixed order
-    ///   regardless of host thread count (`SUBWARP_JOBS` never enters —
-    ///   chip stepping is serial within one run).
-    /// - **Fast-forward soundness.** The heap keeps the global minimum
-    ///   nondecreasing, so `miss(now, ..)` calls arrive in nondecreasing
-    ///   `now` order chip-wide — the backend's analytic-at-issue contract
-    ///   holds exactly as in the single-SM case. An SM fast-forwards only
-    ///   through stretches where *it* issues nothing; other SMs' concurrent
-    ///   misses mutate shared state but cannot retroactively change this
-    ///   SM's already-computed completion times, so skipping remains safe.
-    ///
-    /// Each SM profiles into a [`BufferingProfiler`] during the interleaved
-    /// run; the buffers are replayed SM-by-SM afterwards so attached
-    /// profilers still see contiguous `begin_sm`/`end_sm` streams.
-    fn run_chip(
-        &self,
-        wl: &Workload,
-        recorder: Option<EventRecorder>,
-        capture_memory: bool,
-        profiler: Option<&mut dyn Profiler>,
-    ) -> Result<RunOutputs, SimError> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
         let n_sms = self.sm.n_sms;
-        let mut backends = self
-            .sm
-            .mem_backend
-            .build_chip(self.sm.miss_latency, n_sms)
-            .into_iter();
-        let mut buffers: Vec<crate::profile::BufferingProfiler> = if profiler.is_some() {
-            (0..n_sms).map(|_| Default::default()).collect()
+        let (mem, latency) = (&self.sm.mem_backend, self.sm.miss_latency);
+        let backends = if self.sm.shared_partitions {
+            mem.build_chip(latency, n_sms)
         } else {
-            Vec::new()
+            (0..n_sms).map(|_| mem.build(latency)).collect()
         };
-        let mut bufs = buffers.iter_mut();
-        let mut states: Vec<SimState> = (0..n_sms)
-            .map(|sm_id| {
+        // One SM streams straight into the caller's profiler. Several SMs
+        // each profile into a [`BufferingProfiler`], replayed SM by SM after
+        // the run so the caller still sees contiguous `begin_sm`/`end_sm`
+        // streams.
+        let mut buffers: Vec<crate::profile::BufferingProfiler> = Vec::new();
+        if profiler.is_some() && n_sms > 1 {
+            buffers.resize_with(n_sms, Default::default);
+        }
+        let mut sinks = buffers.iter_mut().map(|b| b as &mut dyn Profiler);
+        let mut direct = profiler.as_deref_mut().filter(|_| n_sms == 1).map(shorten);
+        if let Some(p) = direct.as_deref_mut() {
+            p.begin_sm(0);
+        }
+        let mut states: Vec<SimState> = backends
+            .into_iter()
+            .enumerate()
+            .map(|(sm_id, backend)| {
                 SimState::new(
                     &self.sm,
                     &self.si,
@@ -289,8 +200,8 @@ impl Simulator {
                     recorder.as_ref().map(|_| EventRecorder::new()),
                     sm_id,
                     capture_memory,
-                    bufs.next().map(|b| b as &mut dyn Profiler),
-                    backends.next(),
+                    direct.take().or_else(|| sinks.next()),
+                    backend,
                 )
             })
             .collect();
@@ -307,14 +218,17 @@ impl Simulator {
                 heap.push(Reverse((st.cycle, i)));
             }
         }
-        // Finalize in SM-id order — identical bookkeeping to the serial
-        // path, so per-SM stats, event merge order, and the store log's
-        // later-SM-wins concatenation all match it.
+        // Finalize in SM-id order: per-SM stats, the event merge, and the
+        // store log's concatenation (later SMs win on finalization's
+        // last-wins rule) are all independent of the stepping order.
         let mut total = RunStats::default();
-        let mut merged_events: Vec<crate::trace::TraceEvent> = Vec::new();
+        let mut merged_events: Vec<TraceEvent> = Vec::new();
         let mut store_log = capture_memory.then(Vec::new);
         let mut final_cycles = Vec::with_capacity(n_sms);
         for (sm_id, mut st) in states.into_iter().enumerate() {
+            // Cycle-attribution conservation: every cycle this SM simulated
+            // — including fast-forwarded stretches — must land in exactly
+            // one cause bucket. Always checked; it is one sum per SM.
             let attributed = st.stats.causes_total();
             if attributed != st.stats.cycles {
                 return Err(SimError::InvariantViolation {
@@ -335,7 +249,9 @@ impl Simulator {
                 st.stats.l0i.hits += l0.stats().hits;
                 st.stats.l0i.misses += l0.stats().misses;
             }
-            total.per_sm.push(st.stats.clone());
+            if n_sms > 1 {
+                total.per_sm.push(st.stats.clone());
+            }
             total.accumulate_sm(&st.stats);
             final_cycles.push(st.stats.cycles);
             if let Some(r) = st.recorder {
@@ -346,10 +262,13 @@ impl Simulator {
             }
         }
         if let Some(p) = profiler {
-            for (sm_id, buf) in buffers.into_iter().enumerate() {
-                p.begin_sm(sm_id);
-                buf.replay(p);
-                p.end_sm(final_cycles[sm_id]);
+            let mut buffers = buffers.into_iter();
+            for (sm_id, cycle) in final_cycles.into_iter().enumerate() {
+                if let Some(buf) = buffers.next() {
+                    p.begin_sm(sm_id);
+                    buf.replay(p);
+                }
+                p.end_sm(cycle);
             }
         }
         let recorder = recorder.map(|_| {
@@ -362,6 +281,14 @@ impl Simulator {
         });
         Ok((total, recorder, store_log.map(MemoryImage::from_log)))
     }
+}
+
+/// Shortens a profiler's trait-object lifetime to its borrow's, so the
+/// caller's profiler and the run's local buffers can share one
+/// [`SimState`] type (`&mut dyn` is invariant in its object lifetime, and
+/// only this unsizing coercion may narrow it).
+fn shorten<'s>(p: &'s mut (dyn Profiler + '_)) -> &'s mut (dyn Profiler + 's) {
+    p
 }
 
 /// All mutable state of one run.
@@ -538,7 +465,7 @@ impl<'a, 'p> SimState<'a, 'p> {
         sm_id: usize,
         capture_memory: bool,
         profiler: Option<&'p mut dyn Profiler>,
-        backend: Option<Box<dyn MemoryBackend>>,
+        backend: Box<dyn MemoryBackend>,
     ) -> SimState<'a, 'p> {
         let n_slots = sm.total_warp_slots();
         let mut st = SimState {
@@ -554,7 +481,7 @@ impl<'a, 'p> SimState<'a, 'p> {
             l0i: (0..sm.n_pbs).map(|_| Cache::new(sm.l0i)).collect(),
             l1i: Cache::new(sm.l1i),
             l1d: Cache::new(sm.l1d),
-            backend: backend.unwrap_or_else(|| sm.mem_backend.build(sm.miss_latency)),
+            backend,
             data: DataMemory::new(wl.data_seed),
             lsu: ServiceUnit::new(),
             tex: ServiceUnit::new(),
@@ -1766,7 +1693,8 @@ mod tests {
         let sm = SmConfig::turing_like();
         let si = SiConfig::best();
         let wl = churn_workload();
-        let mut st = SimState::new(&sm, &si, &wl, None, 0, false, None, None);
+        let backend = sm.mem_backend.build(sm.miss_latency);
+        let mut st = SimState::new(&sm, &si, &wl, None, 0, false, None, backend);
         st.pool_enabled = pool_enabled;
         while !st.finished() {
             st.step().unwrap();

@@ -452,39 +452,6 @@ pub fn check_seed_with_jobs(
     Ok(())
 }
 
-/// Runs `iters` fuzzing iterations starting from `seed` (iteration `i`
-/// checks seed `seed + i`) on the default worker count. Returns campaign
-/// statistics, or the first reproducible divergence.
-pub fn run_fuzz(seed: u64, iters: u64) -> Result<FuzzReport, Box<Divergence>> {
-    run_fuzz_with_jobs(seed, iters, subwarp_pool::default_jobs())
-}
-
-/// [`run_fuzz`] with an explicit worker count.
-///
-/// The *programs* are the parallel axis (each job checks one seed's full
-/// configuration grid serially): a batch offers `iters`-way parallelism
-/// with no cross-job coordination, while the per-program grid is only ~28
-/// wide. Results are reduced in seed order, so the returned report and
-/// the first-divergence choice match the serial campaign exactly.
-pub fn run_fuzz_with_jobs(
-    seed: u64,
-    iters: u64,
-    workers: usize,
-) -> Result<FuzzReport, Box<Divergence>> {
-    let per_seed = subwarp_pool::run_with_jobs(workers, iters as usize, |i| {
-        let mut r = FuzzReport::default();
-        check_seed_with_jobs(seed.wrapping_add(i as u64), &mut r, 1).map(|()| r)
-    });
-    let mut report = FuzzReport::default();
-    for result in per_seed {
-        let r = result.map_err(Box::new)?;
-        report.programs += r.programs;
-        report.runs += r.runs;
-        report.instructions += r.instructions;
-    }
-    Ok(report)
-}
-
 // ------------------------------------------------- trace cross-validation
 
 /// Cross-validates the trace frontend against direct execution for one
@@ -564,7 +531,7 @@ pub fn check_seed_trace_parity(
 }
 
 /// Runs `iters` trace-parity checks starting from `seed` (seeds are the
-/// parallel axis, as in [`run_fuzz_with_jobs`]). Returns campaign
+/// parallel axis, as in [`run_fuzz_resilient`]). Returns campaign
 /// statistics, or the first divergence in seed order.
 pub fn run_trace_parity(
     seed: u64,
@@ -929,17 +896,11 @@ mod tests {
 
     #[test]
     fn oracle_passes_a_short_campaign() {
-        let report = run_fuzz(0xF00D, 4).expect("schedules must agree");
-        assert_eq!(report.programs, 4);
-        assert_eq!(report.runs, 4 * config_grid().len() as u64);
-        assert!(report.instructions > 0);
-    }
-
-    #[test]
-    fn parallel_campaign_matches_serial() {
-        let serial = run_fuzz_with_jobs(99, 6, 1).expect("schedules must agree");
-        let parallel = run_fuzz_with_jobs(99, 6, 4).expect("schedules must agree");
-        assert_eq!(serial, parallel);
+        let c = run_fuzz_resilient(0xF00D, 4, subwarp_pool::default_jobs(), None, None);
+        assert!(c.failures.is_empty(), "schedules must agree");
+        assert_eq!(c.report.programs, 4);
+        assert_eq!(c.report.runs, 4 * config_grid().len() as u64);
+        assert!(c.report.instructions > 0);
     }
 
     #[test]
@@ -959,10 +920,13 @@ mod tests {
 
     #[test]
     fn resilient_campaign_matches_legacy_on_clean_seeds() {
-        let legacy = run_fuzz_with_jobs(0xF00D, 4, 1).expect("schedules must agree");
+        let mut serial = FuzzReport::default();
+        for s in 0xF00D..0xF00D + 4 {
+            check_seed_with_jobs(s, &mut serial, 1).expect("schedules must agree");
+        }
         let resilient = run_fuzz_resilient(0xF00D, 4, 2, None, None);
         assert!(resilient.failures.is_empty());
-        assert_eq!(resilient.report, legacy);
+        assert_eq!(resilient.report, serial);
         assert_eq!(resilient.restored, 0);
     }
 

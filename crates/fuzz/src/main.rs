@@ -7,8 +7,10 @@
 //! Generates `M` random structured kernels starting from seed `N` and runs
 //! each under the baseline and every SI policy/order configuration,
 //! checking that the executed instruction count and the final data-memory
-//! image agree bit for bit. Exits non-zero — printing the reproducing
-//! seed — on the first divergence.
+//! image agree bit for bit. The campaign runs every seed under supervision:
+//! a divergence, panic or overrun seed is recorded and the campaign goes
+//! on, ending with a failure digest (each entry names its seed and replay
+//! command) and a non-zero exit if any seed failed.
 //!
 //! `--dump` prints the generated program for `--seed` instead of fuzzing,
 //! for inspecting a reproduced divergence.
@@ -19,15 +21,9 @@
 //! replayed workload's stats and memory image are checked bit-identical to
 //! the direct run under every grid configuration.
 //!
-//! Resilient campaign flags (any of them switches to the supervised
-//! keep-going path; without them the legacy stop-at-first-divergence
-//! behaviour and output are unchanged):
+//! Campaign flags:
 //!
-//! * `--keep-going` — record every divergence and finish the campaign,
-//!   printing an end-of-run failure digest; exits non-zero if any seed
-//!   failed.
-//! * `--journal PATH` — checkpoint per-seed outcomes to a JSONL journal
-//!   (implies `--keep-going`).
+//! * `--journal PATH` — checkpoint per-seed outcomes to a JSONL journal.
 //! * `--resume` — skip seeds already present in the journal (default
 //!   path `results/fuzz_journal.jsonl` unless `--journal` is given).
 //! * `--deadline SECS` — per-seed wall-clock budget; a seed exceeding it
@@ -36,7 +32,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use subwarp_fuzz::{
-    config_grid, random_workload, run_fuzz, run_fuzz_resilient, run_trace_parity, FuzzJournal,
+    config_grid, random_workload, run_fuzz_resilient, run_trace_parity, FuzzJournal,
 };
 
 const DEFAULT_JOURNAL: &str = "results/fuzz_journal.jsonl";
@@ -44,7 +40,7 @@ const DEFAULT_JOURNAL: &str = "results/fuzz_journal.jsonl";
 fn usage() -> ! {
     eprintln!(
         "usage: subwarp-fuzz [--seed N] [--iters M] [--dump] [--trace-parity] \
-         [--keep-going] [--resume] [--journal PATH] [--deadline SECS]"
+         [--resume] [--journal PATH] [--deadline SECS]"
     );
     std::process::exit(2);
 }
@@ -55,7 +51,6 @@ fn main() {
     let mut iters = 100u64;
     let mut dump = false;
     let mut trace_parity = false;
-    let mut keep_going = false;
     let mut resume = false;
     let mut journal_path: Option<String> = None;
     let mut deadline: Option<Duration> = None;
@@ -73,7 +68,6 @@ fn main() {
             "--deadline" => deadline = Some(Duration::from_secs(next("--deadline"))),
             "--dump" => dump = true,
             "--trace-parity" => trace_parity = true,
-            "--keep-going" => keep_going = true,
             "--resume" => resume = true,
             "--journal" => {
                 journal_path = Some(it.next().cloned().unwrap_or_else(|| {
@@ -133,70 +127,43 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
 
-    let resilient = keep_going || resume || journal_path.is_some() || deadline.is_some();
-    if resilient {
-        let journal = if resume || journal_path.is_some() {
-            let path = journal_path.as_deref().unwrap_or(DEFAULT_JOURNAL);
-            let j = FuzzJournal::open(path).unwrap_or_else(|e| {
-                eprintln!("cannot open journal `{path}`: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("# journal: {path} ({} seeds restored)", j.restored());
-            Some(Arc::new(j))
-        } else {
-            None
-        };
-        // A journal without --resume still checkpoints, but starts fresh
-        // semantically only when the file is new; restored seeds are
-        // always honoured so repeated runs converge.
-        let c = run_fuzz_resilient(seed, iters, jobs, deadline, journal);
-        let dt = t0.elapsed().as_secs_f64();
-        println!(
-            "checked: {} programs x {} configurations = {} runs, {} instructions ({} restored from journal)",
-            c.report.programs, n_configs, c.report.runs, c.report.instructions, c.restored
-        );
-        println!(
-            "{} programs in {:.3}s ({:.1} programs/s)",
-            c.report.programs,
-            dt,
-            c.report.programs as f64 / dt.max(1e-9)
-        );
-        if c.failures.is_empty() {
-            println!("all identical, no failures");
-        } else {
-            println!(
-                "FAILURES: {} of {} seeds",
-                c.failures.len(),
-                c.report.programs
-            );
-            for d in &c.failures {
-                println!("  seed {} [{}]: {}", d.seed, d.config, first_line(&d.what));
-            }
-            std::process::exit(1);
-        }
+    let journal = if resume || journal_path.is_some() {
+        let path = journal_path.as_deref().unwrap_or(DEFAULT_JOURNAL);
+        let j = FuzzJournal::open(path).unwrap_or_else(|e| {
+            eprintln!("cannot open journal `{path}`: {e}");
+            std::process::exit(2);
+        });
+        eprintln!("# journal: {path} ({} seeds restored)", j.restored());
+        Some(Arc::new(j))
     } else {
-        match run_fuzz(seed, iters) {
-            Ok(r) => {
-                let dt = t0.elapsed().as_secs_f64();
-                println!(
-                    "ok: {} programs x {} configurations = {} runs, {} instructions, all identical",
-                    r.programs, n_configs, r.runs, r.instructions
-                );
-                println!(
-                    "{} programs in {:.3}s ({:.1} programs/s)",
-                    r.programs,
-                    dt,
-                    r.programs as f64 / dt.max(1e-9)
-                );
-            }
-            Err(d) => {
-                eprintln!("DIVERGENCE: {d}");
-                std::process::exit(1);
-            }
+        None
+    };
+    // A journal without --resume still checkpoints, but starts fresh
+    // semantically only when the file is new; restored seeds are always
+    // honoured so repeated runs converge.
+    let c = run_fuzz_resilient(seed, iters, jobs, deadline, journal);
+    let dt = t0.elapsed().as_secs_f64();
+    println!(
+        "checked: {} programs x {} configurations = {} runs, {} instructions ({} restored from journal)",
+        c.report.programs, n_configs, c.report.runs, c.report.instructions, c.restored
+    );
+    println!(
+        "{} programs in {:.3}s ({:.1} programs/s)",
+        c.report.programs,
+        dt,
+        c.report.programs as f64 / dt.max(1e-9)
+    );
+    if c.failures.is_empty() {
+        println!("all identical, no failures");
+    } else {
+        println!(
+            "FAILURES: {} of {} seeds",
+            c.failures.len(),
+            c.report.programs
+        );
+        for d in &c.failures {
+            println!("  {d}");
         }
+        std::process::exit(1);
     }
-}
-
-fn first_line(s: &str) -> &str {
-    s.lines().next().unwrap_or(s)
 }

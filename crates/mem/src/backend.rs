@@ -191,18 +191,6 @@ impl MemBackendConfig {
         }
     }
 
-    /// True when this backend has no cross-SM shared state: per-SM instances
-    /// behave identically whether built via [`MemBackendConfig::build`] or
-    /// [`MemBackendConfig::build_chip`], so a multi-SM run can keep the
-    /// plain serial per-SM loop.
-    pub fn is_shareless(&self) -> bool {
-        match self {
-            MemBackendConfig::Fixed => true,
-            MemBackendConfig::Hierarchical(_) => false,
-            MemBackendConfig::Faulty { inner, .. } => inner.is_shareless(),
-        }
-    }
-
     /// Validates the configuration; returns a description of the first
     /// inconsistency found.
     pub fn validate(&self) -> Result<(), String> {
@@ -1079,18 +1067,6 @@ mod tests {
             inner: Box::new(MemBackendConfig::Hierarchical(tiny())),
         };
         assert_eq!(faulty.build_chip(600, 3).len(), 3);
-    }
-
-    #[test]
-    fn shareless_classification_matches_backend_kind() {
-        assert!(MemBackendConfig::Fixed.is_shareless());
-        assert!(!MemBackendConfig::Hierarchical(tiny()).is_shareless());
-        let wrap = |inner: MemBackendConfig| MemBackendConfig::Faulty {
-            fault: MemFaultConfig::default(),
-            inner: Box::new(inner),
-        };
-        assert!(wrap(MemBackendConfig::Fixed).is_shareless());
-        assert!(!wrap(MemBackendConfig::Hierarchical(tiny())).is_shareless());
     }
 
     #[test]

@@ -314,6 +314,24 @@ mod tests {
     }
 
     #[test]
+    fn sms_beyond_a_full_chip_is_a_bad_request() {
+        // Every SM stays live for a whole run, so an unbounded `sms` would
+        // let one request allocate without limit.
+        assert_eq!(spec(r#"{"workload":"toy","sms":72}"#).unwrap().sm.n_sms, 72);
+        let err = spec(r#"{"workload":"toy","sms":73}"#).err();
+        assert_eq!(err.as_deref(), Some("n_sms must be at most 72, got 73"));
+        let server = crate::Server::start(
+            crate::ServerConfig::default(),
+            crate::MemoStore::in_memory(),
+        );
+        let req = parse(r#"{"workload":"toy","mem":"hier","sms":1000000}"#).unwrap();
+        let (reply, _) = crate::wire::handle_request(&server, "test", &req);
+        let reply = parse(&reply).unwrap();
+        assert_eq!(reply.str_field("kind"), Some("bad-request"));
+        server.drain();
+    }
+
+    #[test]
     fn rejects_bad_requests_cleanly() {
         for bad in [
             r#"{"si":"both"}"#,
