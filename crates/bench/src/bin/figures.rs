@@ -44,6 +44,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use subwarp_bench as x;
 use subwarp_core::SimError;
+use subwarp_serve::spec::resolve_workload;
 use subwarp_stats::{mean, BarChart, Table};
 use subwarp_sweep::{
     chaos_sweep, holes_observed, install_global_policy, job_error_to_sim, Journal, SweepPolicy,
@@ -211,16 +212,25 @@ fn banner(s: &str) {
 /// Figure 12a-style speedup report over `--trace` files.
 fn trace_figure(files: &[String], csvs: &mut Vec<(String, String)>) -> Result<(), SimError> {
     banner("Trace files: speedup over baseline at 600-cycle miss latency");
-    let loaded: Result<Vec<x::LoadedTrace>, SimError> =
-        files.iter().map(|f| x::load_trace_file(f)).collect();
-    let loaded = loaded?;
-    for (name, wl, fp) in &loaded {
+    let mut loaded: Vec<x::LoadedTrace> = Vec::new();
+    for path in files {
+        let (wl, fp) = resolve_workload(&format!("file:{path}")).map_err(|what| {
+            SimError::InvalidWorkload {
+                workload: path.clone(),
+                what,
+            }
+        })?;
+        // The row name is the file stem: `tests/corpus/toy.swt` is `toy`.
+        let name = std::path::Path::new(path)
+            .file_stem()
+            .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
         eprintln!(
             "# {name}: `{}`, {} instructions, {} warps, fingerprint {fp:#018x}",
             wl.name,
             wl.program.len(),
             wl.n_warps
         );
+        loaded.push((name, wl, fp));
     }
     let rows = x::trace_report(&loaded)?;
     let labels: Vec<String> = rows[0].speedups.iter().map(|(l, _)| l.clone()).collect();

@@ -4,19 +4,16 @@
 //! ```text
 //! profile [options] <workload>
 //!
-//! workloads:
+//! workloads (the `simulate` binary's):
 //!   trace:<NAME>          a suite trace (AV1, BFV1, Coll1, ...)
-//!   micro:<SUBWARP_SIZE>  the Figure 11 microbenchmark
+//!   micro:<SIZE>[@ITERS]  the Figure 11 microbenchmark [default: 16 iterations]
 //!   toy                   the Figure 9 two-subwarp toy
+//!   file:<PATH>           a serialized subwarp-trace file
 //!
 //! options:
-//!   --trace <FILE>            load the workload from a serialized
-//!                             subwarp-trace file instead of a built-in
-//!   --si <off|sos|both|dws>   interleaving mode          [default: off]
-//!   --policy <any|half|all>   stall trigger (N>0/≥0.5/1) [default: half]
-//!   --latency <cycles>        L1 miss latency            [default: 600]
-//!   --mem <fixed|hier>        memory backend             [default: fixed]
-//!   --sms <n>                 streaming multiprocessors  [default: 1]
+//!   every knob of `simulate` (--si, --policy, --latency, --mem, --slots,
+//!   --sms, --private-mem, --subwarps, --order, --small-icache, --trace),
+//!   parsed by `subwarp_serve::spec` with the same defaults, plus:
 //!   --out <path>              trace output file          [default: subwarp_profile.json]
 //!   --compare                 also profile-free run the baseline and
 //!                             print its breakdown column
@@ -30,136 +27,45 @@
 //! tracks, and the breakdown is followed by the memory-hierarchy counters.
 //! Time is encoded as 1 cycle = 1 µs.
 
-use subwarp_core::{
-    ChromeTraceProfiler, CycleCause, HierarchyConfig, MemBackendConfig, RunStats, SelectPolicy,
-    SiConfig, Simulator, SmConfig, Workload,
-};
+use subwarp_core::{ChromeTraceProfiler, CycleCause, RunStats, SiConfig, Simulator};
+use subwarp_serve::spec::{request_from_argv, JobSpec};
 use subwarp_stats::Table;
-use subwarp_workloads::{figure9_workload, microbenchmark, trace_by_name};
 
-fn usage() -> ! {
+fn usage(error: &str) -> ! {
     eprintln!(
-        "usage: profile [--si off|sos|both|dws] [--policy any|half|all] \
-         [--latency N] [--mem fixed|hier] [--sms N] [--out PATH] [--compare] \
-         <trace:NAME|micro:SIZE|toy|--trace FILE>"
+        "profile: {error}\n\
+         usage: profile [simulate's options] [--out PATH] [--compare] \
+         <trace:NAME|micro:SIZE[@ITERS]|toy|file:PATH|--trace FILE>"
     );
     std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sm = SmConfig::turing_like();
-    let mut si = SiConfig::disabled();
-    let mut policy = SelectPolicy::HalfStalled;
-    let mut si_kind = "off".to_owned();
     let mut out = String::from("subwarp_profile.json");
     let mut compare = false;
-    let mut target: Option<String> = None;
-    let mut trace_file: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut next = |flag: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match a.as_str() {
-            "--si" => si_kind = next("--si"),
-            "--policy" => {
-                policy = match next("--policy").as_str() {
-                    "any" => SelectPolicy::AnyStalled,
-                    "half" => SelectPolicy::HalfStalled,
-                    "all" => SelectPolicy::AllStalled,
-                    _ => usage(),
-                }
-            }
-            "--latency" => sm.miss_latency = next("--latency").parse().unwrap_or_else(|_| usage()),
-            "--mem" => {
-                sm.mem_backend = match next("--mem").as_str() {
-                    "fixed" => MemBackendConfig::Fixed,
-                    "hier" => MemBackendConfig::Hierarchical(HierarchyConfig::turing_like()),
-                    _ => usage(),
-                }
-            }
-            "--sms" => sm.n_sms = next("--sms").parse().unwrap_or_else(|_| usage()),
-            "--out" => out = next("--out"),
-            "--trace" => trace_file = Some(next("--trace")),
+    let job = request_from_argv(std::env::args().skip(1), |arg, rest| {
+        match arg {
+            "--out" => out = rest.next().unwrap_or_else(|| usage("--out needs a value")),
             "--compare" => compare = true,
-            "--help" | "-h" => usage(),
-            other if !other.starts_with('-') => target = Some(other.to_owned()),
-            _ => usage(),
+            _ => return false,
         }
-    }
-    match si_kind.as_str() {
-        "off" => {}
-        "sos" => si = SiConfig::sos(policy),
-        "both" => si = SiConfig::both(policy),
-        "dws" => {
-            si = SiConfig::dws_like();
-            si.policy = policy;
-        }
-        _ => usage(),
-    }
-
-    let wl: Workload = if let Some(path) = trace_file {
-        if target.is_some() {
-            eprintln!("--trace replaces the workload argument; give one or the other");
-            std::process::exit(2);
-        }
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace file `{path}`: {e}");
-            std::process::exit(2);
-        });
-        match subwarp_trace::decode_workload(&bytes) {
-            Ok(wl) => {
-                eprintln!(
-                    "# trace file {path}: fingerprint {:#018x}",
-                    subwarp_trace::trace_fingerprint(&bytes)
-                );
-                wl
-            }
-            Err(e) => {
-                eprintln!("cannot load trace `{path}`: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        let Some(target) = target else { usage() };
-        if let Some(name) = target.strip_prefix("trace:") {
-            match trace_by_name(name) {
-                Some(t) => {
-                    eprintln!("# {}: {}", t.name, t.description);
-                    t.build()
-                }
-                None => {
-                    eprintln!("unknown trace `{name}`");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(size) = target.strip_prefix("micro:") {
-            microbenchmark(size.parse().unwrap_or_else(|_| usage()), 16)
-        } else if target == "toy" {
-            figure9_workload()
-        } else {
-            usage()
-        }
-    };
+        true
+    })
+    .and_then(|req| JobSpec::from_request(&req))
+    .unwrap_or_else(|e| usage(&e));
+    let JobSpec { wl, sm, si, .. } = &job;
 
     let fail = |e: subwarp_core::SimError| -> ! {
         eprintln!("simulation failed: {e}");
         std::process::exit(1);
     };
     eprintln!(
-        "# profiling `{}` under SI={} (miss latency {})",
-        wl.name,
-        si.label(),
-        sm.miss_latency
+        "# profiling job {} (fp {:016x}): `{}` (miss latency {})",
+        job.label, job.fp, wl.name, sm.miss_latency
     );
     let mut profiler = ChromeTraceProfiler::new();
-    let stats = Simulator::new(sm.clone(), si)
-        .run_profiled(&wl, &mut profiler)
+    let stats = Simulator::new(sm.clone(), *si)
+        .run_profiled(wl, &mut profiler)
         .unwrap_or_else(|e| fail(e));
     let json = profiler.to_json();
     if let Err(e) = std::fs::write(&out, &json) {
@@ -173,8 +79,8 @@ fn main() {
     );
 
     let base = compare.then(|| {
-        Simulator::new(sm, SiConfig::disabled())
-            .run(&wl)
+        Simulator::new(sm.clone(), SiConfig::disabled())
+            .run(wl)
             .unwrap_or_else(|e| fail(e))
     });
 

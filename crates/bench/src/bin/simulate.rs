@@ -6,12 +6,12 @@
 //!
 //! workloads:
 //!   trace:<NAME>          a suite trace (AV1, BFV1, Coll1, ...)
-//!   micro:<SUBWARP_SIZE>  the Figure 11 microbenchmark
+//!   micro:<SIZE>[@ITERS]  the Figure 11 microbenchmark [default: 16 iterations]
 //!   toy                   the Figure 9 two-subwarp toy
+//!   file:<PATH>           a serialized subwarp-trace file
 //!
 //! options:
-//!   --trace <FILE>            load the workload from a serialized
-//!                             subwarp-trace file instead of a built-in
+//!   --trace <FILE>            same as the workload `file:<FILE>`
 //!   --si <off|sos|both|dws>   interleaving mode          [default: off]
 //!   --policy <any|half|all>   stall trigger (N>0/≥0.5/1) [default: half]
 //!   --latency <cycles>        L1 miss latency            [default: 600]
@@ -25,160 +25,62 @@
 //!   --compare                 also run the baseline and report speedup
 //!   --events                  dump the subwarp-scheduler event trace
 //! ```
+//!
+//! The workload keys and every option but `--compare` and `--events` are
+//! the daemon's job vocabulary, parsed by `subwarp_serve::spec`: a command
+//! line resolves to the same job, label and fingerprint as its JSON form.
 
-use subwarp_core::{
-    DivergeOrder, EventKind, HierarchyConfig, MemBackendConfig, SelectPolicy, SiConfig, Simulator,
-    SmConfig, Workload,
-};
-use subwarp_workloads::{figure9_workload, microbenchmark, trace_by_name};
+use subwarp_core::{EventKind, SiConfig, Simulator};
+use subwarp_serve::spec::{request_from_argv, JobSpec};
 
-fn usage() -> ! {
+fn usage(error: &str) -> ! {
     eprintln!(
-        "usage: simulate [--si off|sos|both|dws] [--policy any|half|all] \
+        "simulate: {error}\n\
+         usage: simulate [--si off|sos|both|dws] [--policy any|half|all] \
          [--latency N] [--mem fixed|hier] [--slots N] [--sms N] [--private-mem] \
          [--subwarps N] [--order ft|taken|random|hinted] [--small-icache] \
-         [--compare] [--events] <trace:NAME|micro:SIZE|toy|--trace FILE>"
+         [--compare] [--events] <trace:NAME|micro:SIZE[@ITERS]|toy|file:PATH|--trace FILE>"
     );
     std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sm = SmConfig::turing_like();
-    let mut si = SiConfig::disabled();
-    let mut policy = SelectPolicy::HalfStalled;
-    let mut si_kind = "off".to_owned();
-    let mut max_subwarps = 32usize;
     let mut compare = false;
     let mut events = false;
-    let mut target: Option<String> = None;
-    let mut trace_file: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut next = |flag: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match a.as_str() {
-            "--si" => si_kind = next("--si"),
-            "--policy" => {
-                policy = match next("--policy").as_str() {
-                    "any" => SelectPolicy::AnyStalled,
-                    "half" => SelectPolicy::HalfStalled,
-                    "all" => SelectPolicy::AllStalled,
-                    _ => usage(),
-                }
-            }
-            "--latency" => sm.miss_latency = next("--latency").parse().unwrap_or_else(|_| usage()),
-            "--mem" => {
-                sm.mem_backend = match next("--mem").as_str() {
-                    "fixed" => MemBackendConfig::Fixed,
-                    "hier" => MemBackendConfig::Hierarchical(HierarchyConfig::turing_like()),
-                    _ => usage(),
-                }
-            }
-            "--slots" => sm.warp_slots_per_pb = next("--slots").parse().unwrap_or_else(|_| usage()),
-            "--sms" => sm.n_sms = next("--sms").parse().unwrap_or_else(|_| usage()),
-            "--private-mem" => sm.shared_partitions = false,
-            "--subwarps" => max_subwarps = next("--subwarps").parse().unwrap_or_else(|_| usage()),
-            "--order" => {
-                sm.diverge_order = match next("--order").as_str() {
-                    "ft" => DivergeOrder::FallthroughFirst,
-                    "taken" => DivergeOrder::TakenFirst,
-                    "random" => DivergeOrder::Random,
-                    "hinted" => DivergeOrder::Hinted,
-                    _ => usage(),
-                }
-            }
-            "--small-icache" => sm = sm.with_small_icaches(),
-            "--trace" => trace_file = Some(next("--trace")),
+    let job = request_from_argv(std::env::args().skip(1), |arg, _| {
+        match arg {
             "--compare" => compare = true,
             "--events" => events = true,
-            "--help" | "-h" => usage(),
-            other if !other.starts_with('-') => target = Some(other.to_owned()),
-            _ => usage(),
+            _ => return false,
         }
-    }
-    match si_kind.as_str() {
-        "off" => {}
-        "sos" => si = SiConfig::sos(policy),
-        "both" => si = SiConfig::both(policy),
-        "dws" => {
-            si = SiConfig::dws_like();
-            si.policy = policy;
-        }
-        _ => usage(),
-    }
-    si = si.with_max_subwarps(max_subwarps);
-
-    let wl: Workload = if let Some(path) = trace_file {
-        if target.is_some() {
-            eprintln!("--trace replaces the workload argument; give one or the other");
-            std::process::exit(2);
-        }
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace file `{path}`: {e}");
-            std::process::exit(2);
-        });
-        match subwarp_trace::decode_workload(&bytes) {
-            Ok(wl) => {
-                eprintln!(
-                    "# trace file {path}: fingerprint {:#018x}",
-                    subwarp_trace::trace_fingerprint(&bytes)
-                );
-                wl
-            }
-            Err(e) => {
-                eprintln!("cannot load trace `{path}`: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        let Some(target) = target else { usage() };
-        if let Some(name) = target.strip_prefix("trace:") {
-            match trace_by_name(name) {
-                Some(t) => {
-                    eprintln!("# {}: {}", t.name, t.description);
-                    t.build()
-                }
-                None => {
-                    eprintln!("unknown trace `{name}`");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(size) = target.strip_prefix("micro:") {
-            microbenchmark(size.parse().unwrap_or_else(|_| usage()), 16)
-        } else if target == "toy" {
-            figure9_workload()
-        } else {
-            usage()
-        }
-    };
+        true
+    })
+    .and_then(|req| JobSpec::from_request(&req))
+    .unwrap_or_else(|e| usage(&e));
+    let JobSpec { wl, sm, si, .. } = &job;
 
     eprintln!(
-        "# workload `{}`: {} instructions, {} warps | SI={} latency={} slots={}x{}",
+        "# job {} (fp {:016x}): `{}`, {} instructions, {} warps, latency {}, slots {}x{}",
+        job.label,
+        job.fp,
         wl.name,
         wl.program.len(),
         wl.n_warps,
-        si.label(),
         sm.miss_latency,
         sm.n_pbs,
         sm.warp_slots_per_pb
     );
 
-    let sim = Simulator::new(sm.clone(), si);
+    let sim = Simulator::new(sm.clone(), *si);
     let fail = |e: subwarp_core::SimError| -> ! {
         eprintln!("simulation failed: {e}");
         std::process::exit(1);
     };
     let (stats, recorder) = if events {
-        let (s, r) = sim.run_recorded(&wl).unwrap_or_else(|e| fail(e));
+        let (s, r) = sim.run_recorded(wl).unwrap_or_else(|e| fail(e));
         (s, Some(r))
     } else {
-        (sim.run(&wl).unwrap_or_else(|e| fail(e)), None)
+        (sim.run(wl).unwrap_or_else(|e| fail(e)), None)
     };
 
     println!("cycles                    {:>12}", stats.cycles);
@@ -258,8 +160,8 @@ fn main() {
     }
 
     if compare {
-        let base = Simulator::new(sm, SiConfig::disabled())
-            .run(&wl)
+        let base = Simulator::new(sm.clone(), SiConfig::disabled())
+            .run(wl)
             .unwrap_or_else(|e| fail(e));
         println!(
             "\nbaseline: {} cycles -> speedup {:+.1}%",

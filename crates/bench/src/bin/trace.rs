@@ -7,12 +7,16 @@
 //! trace import FILE [--out FILE] [--lossy]
 //! trace validate FILE... [--write-expect]
 //!
-//! workloads (same vocabulary as the simulate binary, plus fuzz seeds):
+//! workloads (the simulate binary's keys, resolved by `subwarp_serve::spec`,
+//! plus fuzz seeds, which only this tool knows):
 //!   trace:<NAME>          a suite trace (AV1, BFV1, Coll1, ...)
-//!   micro:<SIZE>[@ITERS]  the Figure 11 microbenchmark
+//!   micro:<SIZE>[@ITERS]  the Figure 11 microbenchmark [default: 16 iterations]
 //!   toy                   the Figure 9 two-subwarp toy
+//!   file:<PATH>           a serialized subwarp-trace file
 //!   fuzz:<SEED>           the differential fuzzer's generated kernel
 //! ```
+//!
+//! A bad workload key is a usage error (exit 2) with the daemon's message.
 //!
 //! `record` serializes a built-in workload to the versioned binary trace
 //! format. `replay` loads a trace and prints its replay digest (reference
@@ -26,9 +30,9 @@
 //! (re)generates the expectations instead.
 
 use std::process::exit;
+use std::sync::Arc;
 use subwarp_core::{Simulator, Workload};
 use subwarp_trace as t;
-use subwarp_workloads::{figure9_workload, microbenchmark, trace_by_name};
 
 fn usage() -> ! {
     eprintln!(
@@ -36,7 +40,7 @@ fn usage() -> ! {
          \x20      trace replay FILE [--verify-against <workload>]\n\
          \x20      trace import FILE [--out FILE] [--lossy]\n\
          \x20      trace validate FILE... [--write-expect]\n\
-         workloads: trace:NAME | micro:SIZE[@ITERS] | toy | fuzz:SEED"
+         workloads: trace:NAME | micro:SIZE[@ITERS] | toy | file:PATH | fuzz:SEED"
     );
     exit(2);
 }
@@ -46,34 +50,20 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     exit(1);
 }
 
-/// Resolves the shared workload-key vocabulary (plus `fuzz:SEED`).
-fn build_workload(key: &str) -> Workload {
-    if let Some(name) = key.strip_prefix("trace:") {
-        match trace_by_name(name) {
-            Some(t) => t.build(),
-            None => fail(format!("unknown trace `{name}`")),
-        }
-    } else if let Some(rest) = key.strip_prefix("micro:") {
-        let (size, iters) = match rest.split_once('@') {
-            Some((s, i)) => (s, i),
-            None => (rest, "16"),
-        };
-        let (Ok(size), Ok(iters)) = (size.parse::<usize>(), iters.parse::<u32>()) else {
-            fail(format!("bad micro spec `{rest}`"))
-        };
-        microbenchmark(size, iters)
-    } else if let Some(seed) = key.strip_prefix("fuzz:") {
-        match seed.parse::<u64>() {
-            Ok(seed) => subwarp_fuzz::random_workload(seed),
-            Err(_) => fail(format!("bad fuzz seed `{seed}`")),
-        }
-    } else if key == "toy" {
-        figure9_workload()
-    } else {
-        fail(format!(
-            "unknown workload `{key}` (trace:NAME | micro:SIZE[@ITERS] | toy | fuzz:SEED)"
-        ))
-    }
+/// Builds `fuzz:SEED` itself and resolves every other key through the
+/// daemon's resolver; a bad key exits 2 with its message.
+fn build_workload(key: &str) -> Arc<Workload> {
+    let built = match key.strip_prefix("fuzz:") {
+        Some(seed) => seed
+            .parse()
+            .map(|seed| Arc::new(subwarp_fuzz::random_workload(seed)))
+            .map_err(|_| format!("bad fuzz seed `{seed}`")),
+        None => subwarp_serve::spec::resolve_workload(key).map(|(wl, _)| wl),
+    };
+    built.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(2)
+    })
 }
 
 fn read_file(path: &str) -> Vec<u8> {
@@ -148,7 +138,7 @@ fn replay(args: &[String]) {
 
     if let Some(key) = verify {
         let direct = build_workload(&key);
-        if direct != wl {
+        if *direct != wl {
             fail(format!(
                 "replayed workload differs structurally from `{key}`"
             ));

@@ -696,25 +696,6 @@ pub fn chip_sweep() -> Result<Vec<ChipSweepRow>, SimError> {
 /// cells.
 pub type LoadedTrace = (String, Arc<subwarp_core::Workload>, u64);
 
-/// Loads a binary trace file into a sweep-ready workload row.
-///
-/// The row name is the file stem (so `tests/corpus/toy.swt` renders as
-/// `toy`), and the returned fingerprint is
-/// [`subwarp_trace::trace_fingerprint`] over the raw bytes — the identity
-/// journals and memo stores key on.
-pub fn load_trace_file(path: &str) -> Result<LoadedTrace, SimError> {
-    let bytes = std::fs::read(path).map_err(|e| SimError::InvalidWorkload {
-        workload: path.to_owned(),
-        what: format!("cannot read trace file: {e}"),
-    })?;
-    let wl = subwarp_trace::decode_workload(&bytes).map_err(SimError::from)?;
-    let name = std::path::Path::new(path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.to_owned());
-    Ok((name, Arc::new(wl), subwarp_trace::trace_fingerprint(&bytes)))
-}
-
 /// Figure 12a-style report over trace files instead of the built-in
 /// suite: each file is a row (keyed by trace content fingerprint, so
 /// `--resume` journals survive across processes), the columns are the

@@ -4,7 +4,7 @@
 //! | Module | What it owns |
 //! |---|---|
 //! | [`json`] | std-only JSON parser (lossless 64-bit integers) |
-//! | [`spec`] | request → validated [`spec::JobSpec`] + content fingerprint |
+//! | [`spec`] | the job vocabulary: request or command line → validated [`spec::JobSpec`] + content fingerprint |
 //! | [`store`] | fingerprint-keyed memo store over the locked sweep journal |
 //! | [`server`] | admission control, coalescing, supervised dispatch, drain |
 //! | [`wire`] | NDJSON request/reply protocol over any byte stream |

@@ -1,14 +1,29 @@
-//! Job specifications: the wire form of "simulate this workload under this
-//! configuration", resolved to simulator inputs and a content fingerprint.
+//! Job specifications: the one vocabulary for "simulate this workload under
+//! this configuration", resolved to simulator inputs and a content
+//! fingerprint.
 //!
-//! The knob vocabulary deliberately mirrors the `simulate` binary so a
-//! command line translates 1:1 into a job object:
+//! This module is the only place that parses workload keys and knobs. The
+//! daemon reads them from a request object:
 //!
 //! ```json
 //! {"cmd":"run","workload":"trace:AV1","si":"both","policy":"half",
 //!  "latency":600,"slots":8,"sms":1,"shared_mem":true,"subwarps":32,
 //!  "order":"ft","small_icache":false,"mem":"fixed"}
 //! ```
+//!
+//! The `simulate` and `profile` binaries read the same knobs as
+//! command-line flags: [`request_from_argv`] turns `--si both --policy half
+//! trace:AV1` into that object, and [`JobSpec::from_request`] resolves it,
+//! so a command line and its JSON form give the same job, label and
+//! fingerprint. `--private-mem` is `"shared_mem":false`, `--small-icache`
+//! is `"small_icache":true`, and `--trace FILE` is `"workload":"file:FILE"`.
+//! The `trace` tool and `figures --trace` resolve their workload keys
+//! through [`resolve_workload`].
+//!
+//! Workload keys: `toy` (the Figure 9 toy), `micro:SIZE[@ITERS]` (the
+//! Figure 11 microbenchmark, 16 iterations by default), `trace:NAME` (a
+//! Table II suite trace) and `file:PATH` (a serialized `subwarp-trace`
+//! file).
 //!
 //! Two different requests that resolve to the same workload + configuration
 //! produce the same [`cell_fingerprint`], which is what lets the memo store
@@ -21,7 +36,7 @@ use subwarp_core::{
     DivergeOrder, HierarchyConfig, MemBackendConfig, SelectPolicy, SiConfig, SmConfig, Workload,
 };
 use subwarp_sweep::{cell_fingerprint, workload_hash};
-use subwarp_workloads::{built_suite, figure9_workload, microbenchmark_with, MicroConfig};
+use subwarp_workloads::{figure9_workload, microbenchmark_with, trace_by_name, MicroConfig};
 
 use crate::json::Value;
 
@@ -52,10 +67,15 @@ fn workload_cache() -> &'static Mutex<HashMap<String, CachedWorkload>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// Iterations of `micro:SIZE` when the key names none: the Figure 11 /
+/// Table III kernel.
+const MICRO_ITERATIONS: &str = "16";
+
 /// Resolves a workload key (`toy`, `micro:SIZE[@ITERS]`, `trace:NAME`, or
 /// `file:PATH` naming a serialized `subwarp-trace` file) to a shared
-/// workload and its precomputed content hash.
-fn resolve_workload(key: &str) -> Result<(Arc<Workload>, u64), String> {
+/// workload and its content hash. For `file:` keys the hash is
+/// [`subwarp_trace::trace_fingerprint`] over the file's bytes.
+pub fn resolve_workload(key: &str) -> Result<(Arc<Workload>, u64), String> {
     if let Some(path) = key.strip_prefix("file:") {
         // File-backed workloads are keyed by trace *content*, not path:
         // the fingerprint folds in the format version and every byte, so
@@ -91,7 +111,7 @@ fn resolve_workload(key: &str) -> Result<(Arc<Workload>, u64), String> {
     } else if let Some(rest) = key.strip_prefix("micro:") {
         let (size, iters) = match rest.split_once('@') {
             Some((s, i)) => (s, i),
-            None => (rest, "4"),
+            None => (rest, MICRO_ITERATIONS),
         };
         let subwarp_size: usize = size
             .parse()
@@ -115,12 +135,8 @@ fn resolve_workload(key: &str) -> Result<(Arc<Workload>, u64), String> {
             ..MicroConfig::default()
         }))
     } else if let Some(name) = key.strip_prefix("trace:") {
-        // The Table II suite is already built once per process; share it.
-        let hit = built_suite()
-            .iter()
-            .find(|(t, _)| t.name.eq_ignore_ascii_case(name));
-        match hit {
-            Some((_, wl)) => Arc::clone(wl),
+        match trace_by_name(name) {
+            Some(t) => Arc::new(t.build()),
             None => return Err(format!("unknown trace `{name}`")),
         }
     } else {
@@ -157,10 +173,10 @@ fn parse_policy(s: &str) -> Result<SelectPolicy, String> {
 
 impl JobSpec {
     /// Builds a job from a parsed request object. Every knob is optional
-    /// except `workload`; defaults match the `simulate` binary. Rejects
-    /// unknown workloads, out-of-range knobs, and configurations that fail
-    /// `SmConfig::validate`/`SiConfig::validate` — a daemon must bounce bad
-    /// requests at the door, not panic a worker on them.
+    /// except `workload`. Rejects unknown workloads, out-of-range knobs,
+    /// and configurations that fail `SmConfig::validate`/`SiConfig::validate`
+    /// — a daemon must bounce bad requests at the door, not panic a worker
+    /// on them.
     pub fn from_request(req: &Value) -> Result<JobSpec, String> {
         let wl_key = req
             .str_field("workload")
@@ -236,6 +252,56 @@ impl JobSpec {
     }
 }
 
+/// Translates a command line into the request object the wire carries:
+/// each knob flag becomes the key of the same name, `--private-mem` is
+/// `"shared_mem":false`, `--small-icache` is `"small_icache":true`,
+/// `--trace FILE` is `"workload":"file:FILE"`, and the positional argument
+/// is the `workload`. Every other argument goes to `own` with the
+/// remaining arguments (to take a value from); `own` returns `false` for
+/// one it does not know either.
+pub fn request_from_argv<I: Iterator<Item = String>>(
+    mut args: I,
+    mut own: impl FnMut(&str, &mut I) -> bool,
+) -> Result<Value, String> {
+    let mut fields = Vec::new();
+    let (mut workload, mut trace_file) = (None, None);
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        let (key, v) = match arg.as_str() {
+            "--si" | "--policy" | "--mem" | "--order" => (&arg[2..], Value::Str(value()?)),
+            "--latency" | "--slots" | "--sms" | "--subwarps" => {
+                // A non-number stays a string, which `from_request`
+                // rejects with the same message the daemon sends.
+                let v = value()?;
+                (&arg[2..], v.parse().map_or(Value::Str(v), Value::Int))
+            }
+            "--private-mem" => ("shared_mem", Value::Bool(false)),
+            "--small-icache" => ("small_icache", Value::Bool(true)),
+            "--trace" => {
+                trace_file = Some(value()?);
+                continue;
+            }
+            key if !key.starts_with('-') => {
+                workload = Some(arg.clone());
+                continue;
+            }
+            _ if own(&arg, &mut args) => continue,
+            _ => return Err(format!("unknown option `{arg}`")),
+        };
+        fields.push((key.to_owned(), v));
+    }
+    if let Some(path) = trace_file {
+        if workload.is_some() {
+            return Err("--trace replaces the workload argument; give one or the other".into());
+        }
+        workload = Some(format!("file:{path}"));
+    }
+    if let Some(key) = workload {
+        fields.push(("workload".to_owned(), Value::Str(key)));
+    }
+    Ok(Value::Obj(fields))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,12 +324,65 @@ mod tests {
         assert_ne!(one.fp, four_private.fp);
     }
 
+    /// Resolves a command line through the argv translator.
+    fn argv_spec(args: &[&str]) -> Result<JobSpec, String> {
+        let req = request_from_argv(args.iter().map(|a| a.to_string()), |_, _| false)?;
+        JobSpec::from_request(&req)
+    }
+
     #[test]
-    fn defaults_mirror_simulate_binary() {
-        let s = spec(r#"{"workload":"toy"}"#).unwrap();
-        assert!(!s.si.enabled);
-        assert_eq!(s.sm.miss_latency, SmConfig::turing_like().miss_latency);
-        assert_eq!(s.label, "toy/baseline");
+    fn command_lines_and_requests_resolve_to_the_same_job() {
+        let path = std::env::temp_dir().join("subwarp-serve-spec-argv.swt");
+        std::fs::write(&path, subwarp_trace::encode_workload(&figure9_workload())).unwrap();
+        let path = path.display().to_string();
+        let file_json = format!(r#"{{"workload":"file:{path}","si":"both"}}"#);
+        let table: Vec<(Vec<&str>, &str)> = vec![
+            (vec!["toy"], r#"{"workload":"toy"}"#),
+            (vec!["micro:8"], r#"{"workload":"micro:8"}"#),
+            (
+                vec!["--sms", "4", "--mem", "hier", "--private-mem", "toy"],
+                r#"{"workload":"toy","sms":4,"mem":"hier","shared_mem":false}"#,
+            ),
+            (
+                vec!["--small-icache", "toy"],
+                r#"{"workload":"toy","small_icache":true}"#,
+            ),
+            (vec!["--si", "both", "--trace", &path], &file_json),
+            (
+                vec!["--order", "taken", "toy"],
+                r#"{"workload":"toy","order":"taken"}"#,
+            ),
+            (
+                vec!["--si", "both", "--subwarps", "4", "toy"],
+                r#"{"workload":"toy","si":"both","subwarps":4}"#,
+            ),
+            (
+                vec!["--si", "dws", "--policy", "all", "toy"],
+                r#"{"workload":"toy","si":"dws","policy":"all"}"#,
+            ),
+            (
+                vec!["--latency", "900", "--slots", "4", "micro:4@2"],
+                r#"{"workload":"micro:4@2","latency":900,"slots":4}"#,
+            ),
+        ];
+        for (args, json) in &table {
+            let a = argv_spec(args).unwrap();
+            let j = spec(json).unwrap();
+            assert!(a.sm == j.sm, "{args:?}: sm");
+            assert!(a.si == j.si, "{args:?}: si");
+            assert_eq!(a.label, j.label, "{args:?}");
+            assert_eq!(a.fp, j.fp, "{args:?}");
+            assert!(Arc::ptr_eq(&a.wl, &j.wl), "{args:?}: workload");
+        }
+        std::fs::remove_file(&path).ok();
+
+        let toy = argv_spec(&["toy"]).unwrap();
+        assert!(!toy.si.enabled);
+        assert_eq!(toy.sm.miss_latency, SmConfig::turing_like().miss_latency);
+        assert_eq!(toy.label, "toy/baseline");
+        // `micro:SIZE` is the Figure 11 / Table III kernel everywhere.
+        let micro = spec(r#"{"workload":"micro:8"}"#).unwrap();
+        assert!(*micro.wl == subwarp_workloads::microbenchmark(8, 16));
     }
 
     #[test]
@@ -333,17 +452,35 @@ mod tests {
 
     #[test]
     fn rejects_bad_requests_cleanly() {
-        for bad in [
-            r#"{"si":"both"}"#,
-            r#"{"workload":"nope"}"#,
-            r#"{"workload":"trace:NOPE"}"#,
-            r#"{"workload":"micro:3"}"#,
-            r#"{"workload":"micro:8@999"}"#,
-            r#"{"workload":"toy","si":"warp"}"#,
-            r#"{"workload":"toy","order":"sideways"}"#,
-            r#"{"workload":"toy","slots":0}"#,
+        for (bad, args) in [
+            (r#"{"si":"both"}"#, &["--si", "both"][..]),
+            (r#"{"workload":"nope"}"#, &["nope"]),
+            (r#"{"workload":"trace:NOPE"}"#, &["trace:NOPE"]),
+            (r#"{"workload":"micro:3"}"#, &["micro:3"]),
+            (r#"{"workload":"micro:0"}"#, &["micro:0"]),
+            (r#"{"workload":"micro:64"}"#, &["micro:64"]),
+            (r#"{"workload":"micro:8@0"}"#, &["micro:8@0"]),
+            (r#"{"workload":"micro:8@999"}"#, &["micro:8@999"]),
+            (
+                r#"{"workload":"toy","si":"warp"}"#,
+                &["--si", "warp", "toy"],
+            ),
+            (
+                r#"{"workload":"toy","order":"sideways"}"#,
+                &["--order", "sideways", "toy"],
+            ),
+            (r#"{"workload":"toy","slots":0}"#, &["--slots", "0", "toy"]),
+            (
+                r#"{"workload":"toy","latency":"soon"}"#,
+                &["--latency", "soon", "toy"],
+            ),
         ] {
-            assert!(spec(bad).is_err(), "{bad} must be rejected");
+            let err = spec(bad)
+                .err()
+                .unwrap_or_else(|| panic!("{bad} must be rejected"));
+            assert_eq!(argv_spec(args).err(), Some(err), "{args:?}");
         }
+        let both = argv_spec(&["--trace", "a.swt", "toy"]).err();
+        assert!(both.is_some_and(|e| e.contains("give one or the other")));
     }
 }
