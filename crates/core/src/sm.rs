@@ -412,27 +412,21 @@ const PHASE_FAST_FORWARD: usize = 3;
 const PHASE_OTHER: usize = 4;
 
 /// One memoized idle-cycle classification (see [`SimState::account_idle`]):
-/// the exposure flags and the single attributed cause, valid for as long as
-/// no cached status changes.
+/// the single attributed cause and whether a load-stalled warp is
+/// divergent, valid for as long as no cached status changes.
 #[derive(Debug, Clone, Copy)]
 struct IdleClass {
     any_live: bool,
-    load_stall: bool,
-    load_stall_divergent: bool,
-    traversal_stall: bool,
-    fetch_wait: bool,
     cause: CycleCause,
+    load_stall_divergent: bool,
 }
 
 impl Default for IdleClass {
     fn default() -> Self {
         IdleClass {
             any_live: false,
-            load_stall: false,
-            load_stall_divergent: false,
-            traversal_stall: false,
-            fetch_wait: false,
             cause: CycleCause::Idle,
+            load_stall_divergent: false,
         }
     }
 }
@@ -1428,138 +1422,87 @@ impl<'a, 'p> SimState<'a, 'p> {
             return;
         }
         self.stats.idle_cycles += n;
-        if c.load_stall {
-            self.stats.exposed_load_stalls += n;
-            if c.load_stall_divergent {
-                self.stats.exposed_load_stalls_divergent += n;
+        match c.cause {
+            CycleCause::LoadStall => {
+                self.stats.exposed_load_stalls += n;
+                if c.load_stall_divergent {
+                    self.stats.exposed_load_stalls_divergent += n;
+                }
             }
-        } else if c.traversal_stall {
-            self.stats.exposed_traversal_stalls += n;
-        } else if c.fetch_wait {
-            self.stats.exposed_fetch_stalls += n;
+            CycleCause::TraversalStall => self.stats.exposed_traversal_stalls += n,
+            CycleCause::FetchStall => self.stats.exposed_fetch_stalls += n,
+            _ => {}
         }
         self.tally_cause(c.cause, n);
     }
 
     /// The full idle-cycle scan behind [`account_idle`](Self::account_idle).
     fn classify_idle(&self) -> IdleClass {
-        let any_live = self.slots.iter().flatten().any(|w| !w.done());
-        let mut load_stall = false;
-        let mut load_stall_divergent = false;
-        let mut traversal_stall = false;
-        let mut fetch_wait = false;
-        let mut switch_wait = false;
-        let mut short_dep = false;
-        let mut barrier = false;
-        for slot in 0..self.slots.len() {
-            match self.statuses[slot] {
-                Some(WarpStatus::MemStall {
-                    divergent,
-                    traversal,
-                }) => {
-                    if traversal {
-                        traversal_stall = true;
-                    } else {
-                        load_stall = true;
-                        load_stall_divergent |= divergent;
-                    }
-                }
-                Some(WarpStatus::NoActive {
-                    mem_stalled: true,
-                    divergent,
-                    ..
-                }) => {
-                    // Demoted subwarps waiting on memory: attribute by the
-                    // producer kind of their watched scoreboards.
-                    let w = self.slots[slot].as_ref().expect("slot occupied");
-                    if w.tst_waits_on_load() {
-                        load_stall = true;
-                        load_stall_divergent |= divergent;
-                    } else {
-                        traversal_stall = true;
-                    }
-                }
-                Some(WarpStatus::NoActive {
-                    mem_stalled: false, ..
-                }) => barrier = true,
-                Some(WarpStatus::FetchWait) => fetch_wait = true,
-                Some(WarpStatus::SwitchWait) => switch_wait = true,
-                Some(WarpStatus::ShortDep) => short_dep = true,
-                _ => {}
-            }
-        }
-        // Exhaustive single-cause attribution, extending the exposure
-        // priority (load > traversal > fetch) over the causes the
-        // historical counters leave unclassified.
-        let cause = if load_stall {
-            CycleCause::LoadStall
-        } else if traversal_stall {
-            CycleCause::TraversalStall
-        } else if fetch_wait {
-            CycleCause::FetchStall
-        } else if switch_wait {
-            CycleCause::SwitchPenalty
-        } else if short_dep {
-            CycleCause::ShortDep
-        } else if barrier {
-            CycleCause::Barrier
-        } else {
-            // Live warps exist but none is stalled, waiting, or blocked:
-            // only `Done` warps awaiting retirement alongside empty slots.
-            CycleCause::Idle
-        };
+        let (cause, load_stall_divergent) = self.classify_slots(0..self.slots.len());
         IdleClass {
-            any_live,
-            load_stall,
-            load_stall_divergent,
-            traversal_stall,
-            fetch_wait,
+            any_live: self.slots.iter().flatten().any(|w| !w.done()),
             cause,
+            load_stall_divergent,
         }
     }
 
-    /// Classifies one processing block's cycle when it did not issue, using
-    /// the same priority as the SM-level attribution but restricted to the
-    /// PB's own warp slots. Profiler-only (per-PB trace tracks).
+    /// Classifies one processing block's cycle when it did not issue, with
+    /// the SM-level attribution restricted to the PB's own warp slots.
+    /// Profiler-only (per-PB trace tracks).
     fn classify_pb(&self, pb: usize) -> CycleCause {
         let lo = pb * self.sm.warp_slots_per_pb;
-        let hi = lo + self.sm.warp_slots_per_pb;
+        self.classify_slots(lo..lo + self.sm.warp_slots_per_pb).0
+    }
+
+    /// The highest-priority cause any of `slots` gives a non-issue cycle
+    /// ([`CycleCause`] declaration order; `Idle` when none gives one), and
+    /// whether any of them is a divergent load stall.
+    fn classify_slots(&self, slots: std::ops::Range<usize>) -> (CycleCause, bool) {
         let mut cause = CycleCause::Idle;
-        let mut rank = usize::MAX;
-        let mut consider = |c: CycleCause| {
-            let r = c.index();
-            if r < rank {
-                rank = r;
-                cause = c;
-            }
-        };
-        for slot in lo..hi {
-            match self.statuses[slot] {
-                Some(WarpStatus::MemStall { traversal, .. }) => consider(if traversal {
-                    CycleCause::TraversalStall
-                } else {
-                    CycleCause::LoadStall
-                }),
-                Some(WarpStatus::NoActive {
-                    mem_stalled: true, ..
-                }) => {
-                    let w = self.slots[slot].as_ref().expect("slot occupied");
-                    consider(if w.tst_waits_on_load() {
-                        CycleCause::LoadStall
-                    } else {
-                        CycleCause::TraversalStall
-                    });
-                }
-                Some(WarpStatus::NoActive {
-                    mem_stalled: false, ..
-                }) => consider(CycleCause::Barrier),
-                Some(WarpStatus::FetchWait) => consider(CycleCause::FetchStall),
-                Some(WarpStatus::SwitchWait) => consider(CycleCause::SwitchPenalty),
-                Some(WarpStatus::ShortDep) => consider(CycleCause::ShortDep),
-                _ => {}
+        let mut load_stall_divergent = false;
+        for slot in slots {
+            if let Some((c, divergent)) = self.slot_cause(slot) {
+                cause = cause.min(c);
+                load_stall_divergent |= divergent;
             }
         }
-        cause
+        (cause, load_stall_divergent)
+    }
+
+    /// The cause warp slot `slot` alone gives a non-issue cycle, and whether
+    /// it is a divergent load stall; `None` for an empty, issuable or done
+    /// slot.
+    fn slot_cause(&self, slot: usize) -> Option<(CycleCause, bool)> {
+        Some(match self.statuses[slot]? {
+            WarpStatus::MemStall {
+                traversal: false,
+                divergent,
+            } => (CycleCause::LoadStall, divergent),
+            WarpStatus::MemStall {
+                traversal: true, ..
+            } => (CycleCause::TraversalStall, false),
+            // Demoted subwarps waiting on memory: attribute by the producer
+            // kind of their watched scoreboards.
+            WarpStatus::NoActive {
+                mem_stalled: true,
+                divergent,
+                ..
+            } => {
+                let w = self.slots[slot].as_ref().expect("slot occupied");
+                if w.tst_waits_on_load() {
+                    (CycleCause::LoadStall, divergent)
+                } else {
+                    (CycleCause::TraversalStall, false)
+                }
+            }
+            WarpStatus::NoActive {
+                mem_stalled: false, ..
+            } => (CycleCause::Barrier, false),
+            WarpStatus::FetchWait => (CycleCause::FetchStall, false),
+            WarpStatus::SwitchWait => (CycleCause::SwitchPenalty, false),
+            WarpStatus::ShortDep => (CycleCause::ShortDep, false),
+            WarpStatus::Issuable | WarpStatus::Done => return None,
+        })
     }
 
     /// Streams per-PB cause spans (and, for executed cycles, a counter

@@ -7,12 +7,14 @@ use subwarp_mem::{CacheStats, MemBackendStats};
 ///
 /// Every cycle an SM executes — including cycles skipped in bulk by the
 /// quiescence fast-forward — is tagged with exactly one of these causes.
-/// The attribution follows the exposure priority the paper's Figure 5 uses
+/// Declaration order is the attribution priority (the derived `Ord`): when
+/// warps stall for several reasons at once, the cycle goes to the first.
+/// It follows the exposure priority the paper's Figure 5 uses
 /// (load > traversal > fetch), extended so the remaining non-issue cycles
 /// are also classified rather than lumped as "idle". Conservation (the sum
 /// of per-cause counts equals the SM's cycle count) is enforced at the end
 /// of every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CycleCause {
     /// At least one processing block issued an instruction.
     Issued,
@@ -37,7 +39,7 @@ impl CycleCause {
     /// Number of distinct causes (the length of [`RunStats::cycle_causes`]).
     pub const COUNT: usize = 8;
 
-    /// All causes, in attribution-priority order (after `Issued`).
+    /// All causes, in declaration (attribution-priority) order.
     pub const ALL: [CycleCause; CycleCause::COUNT] = [
         CycleCause::Issued,
         CycleCause::LoadStall,
@@ -51,16 +53,7 @@ impl CycleCause {
 
     /// Index of this cause in [`RunStats::cycle_causes`].
     pub fn index(self) -> usize {
-        match self {
-            CycleCause::Issued => 0,
-            CycleCause::LoadStall => 1,
-            CycleCause::TraversalStall => 2,
-            CycleCause::FetchStall => 3,
-            CycleCause::SwitchPenalty => 4,
-            CycleCause::ShortDep => 5,
-            CycleCause::Barrier => 6,
-            CycleCause::Idle => 7,
-        }
+        self as usize
     }
 
     /// Short human-readable label (used by the trace exporter and tables).

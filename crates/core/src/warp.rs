@@ -1256,30 +1256,11 @@ impl WarpSim {
                         }
                     }
                 } else {
-                    // Scalar fallback — intentionally per-lane: memory ops
-                    // produce a per-lane effective address, stores a per-lane
-                    // value, and RT traversals a per-lane job, so each lane's
-                    // Effect must be consumed individually.
+                    // Memory and RT ops — intentionally per-lane: each lane
+                    // has its own effective address, store value or ray id,
+                    // so each lane's Effect is consumed individually.
                     for lane in lanes(pass) {
-                        let effect = self.rf.step(lane, inst, &wl.consts);
-                        match effect {
-                            Effect::None => {
-                                if let Some(dst) = inst.op.dst_reg() {
-                                    let lat = if matches!(inst.op, Op::Mufu { .. }) {
-                                        mufu_latency
-                                    } else {
-                                        alu_latency
-                                    };
-                                    self.set_reg_ready(lane, dst.0 as usize, cycle + lat);
-                                }
-                                if let Some(p) = inst.op.dst_pred() {
-                                    let at = cycle + alu_latency;
-                                    self.pred_ready[p.0 as usize * WARP_SIZE + lane] = at;
-                                    if at > self.dep_horizon {
-                                        self.dep_horizon = at;
-                                    }
-                                }
-                            }
+                        match self.rf.mem_effect(lane, inst) {
                             Effect::Load { dst, addr } | Effect::TexFetch { dst, addr } => {
                                 if !dst.is_zero() {
                                     // Scoreboard-guarded (long-latency) loads
@@ -1313,7 +1294,6 @@ impl WarpSim {
                                     sb,
                                 });
                             }
-                            _ => unreachable!("control effect from data-path op"),
                         }
                     }
                 }

@@ -1,14 +1,17 @@
-//! Functional (value) semantics of the ISA, evaluated per thread.
+//! Functional (value) semantics of the ISA.
 //!
 //! The timing simulator in `subwarp-core` owns *when* an instruction issues;
-//! this module owns *what it computes*: register updates, predicate updates,
-//! branch decisions, and effective addresses. Long-latency destinations
-//! (loads, texture fetches, traversal results) are written later by the
-//! simulator at writeback time via [`RegFile::write_reg`].
+//! this module owns *what it computes*. ALU and MUFU results are defined
+//! once, over a warp's active-lane mask, by [`step_alu_masked`]. Memory and
+//! RT ops yield a per-lane [`Effect`] (effective address, store value or ray
+//! id) through [`RegFile::mem_effect`]; their destinations are written later
+//! by the simulator at writeback time via [`RegFile::write_reg`]. Control
+//! flow (branches, convergence barriers, exit, yield) is warp-level logic
+//! and lives in the core.
 
 use crate::inst::Instruction;
 use crate::op::{CmpOp, MufuFunc, Op, Operand};
-use crate::reg::{Barrier, Pred, Reg};
+use crate::reg::{Pred, Reg};
 
 /// Architectural registers per thread (the encodable maximum; actual register
 /// files are sized to what the program uses — see [`RegFile`]).
@@ -17,34 +20,20 @@ pub const N_REG: usize = 256;
 /// Predicate registers per thread.
 pub const N_PRED: usize = 8;
 
-/// The side effect an instruction hands to the timing model after its
-/// value-semantics have been applied to a thread.
-/// Fields name the obvious datum: `dst` the destination register, `addr`
-/// the effective byte address, `barrier` the convergence barrier involved.
+/// The per-lane request a memory or RT op hands to the timing model.
+/// Fields name the obvious datum: `dst` the destination register (written
+/// at writeback, not here), `addr` the effective byte address.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
-    /// No interaction with the pipeline beyond the issue slot.
-    None,
-    /// A direct branch; `taken` is always true here (a guard that fails
-    /// suppresses the instruction entirely).
-    Branch { target: usize },
-    /// A load from data memory at `addr` into `dst` (written at writeback).
+    /// A load from data memory at `addr` into `dst`.
     Load { dst: Reg, addr: u64 },
-    /// A store to data memory.
+    /// A store of `value` to data memory at `addr`.
     Store { addr: u64, value: u64 },
     /// A texture fetch keyed by `addr` into `dst` (TEX writeback path).
     TexFetch { dst: Reg, addr: u64 },
     /// An RT-core traversal for ray `ray_id` into `dst`.
     TraceRay { dst: Reg, ray_id: u64 },
-    /// Convergence-barrier registration (warp-level logic handles it).
-    Bssy { barrier: Barrier, reconverge: usize },
-    /// Convergence-barrier wait (warp-level logic handles it).
-    Bsync { barrier: Barrier },
-    /// Thread exit.
-    Exit,
-    /// Subwarp-yield scheduling hint.
-    Yield,
 }
 
 /// A warp's architectural register state in register-major (SoA) layout.
@@ -155,151 +144,43 @@ impl RegFile {
     }
 
     #[inline]
-    fn operand(&self, lane: usize, o: &Operand, consts: &ConstMem) -> u64 {
-        match *o {
-            Operand::Reg(r) => self.reg(lane, r),
-            Operand::Imm(v) => v as u64,
-            Operand::FImm(v) => v.to_bits() as u64,
-            Operand::CBank { bank, offset } => consts.get(bank, offset),
-        }
-    }
-
-    #[inline]
-    fn operand_f32(&self, lane: usize, o: &Operand, consts: &ConstMem) -> f32 {
-        f32::from_bits(self.operand(lane, o, consts) as u32)
-    }
-
-    #[inline]
     fn reg_f32(&self, lane: usize, r: Reg) -> f32 {
         f32::from_bits(self.reg(lane, r) as u32)
     }
 
-    /// Applies one instruction's value semantics to `lane`, assuming the
-    /// guard already passed, and returns the pipeline-visible [`Effect`].
+    /// The [`Effect`] of a memory or RT op (`LDG`, `LDS`, `STG`, `TLD`,
+    /// `TEX`, `TRACERAY`) for `lane`, assuming the guard already passed.
     ///
-    /// ALU and MUFU results are written immediately (the timing model
-    /// separately enforces their latency); long-latency destinations are left
+    /// These ops write no register here: their destinations are left
     /// untouched until the simulator performs writeback.
-    pub fn step(&mut self, lane: usize, inst: &Instruction, consts: &ConstMem) -> Effect {
+    ///
+    /// # Panics
+    /// Panics on any other op: ALU and MUFU ops execute through
+    /// [`step_alu_masked`], and control flow never reaches the data path.
+    pub fn mem_effect(&self, lane: usize, inst: &Instruction) -> Effect {
         debug_assert!(self.guard_passes(lane, inst));
-        match &inst.op {
-            Op::Bssy { barrier, target } => Effect::Bssy {
-                barrier: *barrier,
-                reconverge: *target,
+        match inst.op {
+            Op::Ldg { dst, addr, offset } | Op::Lds { dst, addr, offset } => Effect::Load {
+                dst,
+                addr: self.reg(lane, addr).wrapping_add(offset as u64),
             },
-            Op::Bsync { barrier } => Effect::Bsync { barrier: *barrier },
-            Op::Bra { target } => Effect::Branch { target: *target },
-            Op::Exit => Effect::Exit,
-            Op::Yield => Effect::Yield,
-            Op::Nop => Effect::None,
-            Op::Mov { dst, src } => {
-                let v = self.operand(lane, src, consts);
-                self.write_reg(lane, *dst, v);
-                Effect::None
-            }
-            Op::IAdd { dst, a, b } => {
-                let v = self
-                    .reg(lane, *a)
-                    .wrapping_add(self.operand(lane, b, consts));
-                self.write_reg(lane, *dst, v);
-                Effect::None
-            }
-            Op::IMad { dst, a, b, c } => {
-                let v = self
-                    .reg(lane, *a)
-                    .wrapping_mul(self.operand(lane, b, consts))
-                    .wrapping_add(self.operand(lane, c, consts));
-                self.write_reg(lane, *dst, v);
-                Effect::None
-            }
-            Op::Shl { dst, a, b } => {
-                let sh = self.operand(lane, b, consts) & 63;
-                let v = self.reg(lane, *a) << sh;
-                self.write_reg(lane, *dst, v);
-                Effect::None
-            }
-            Op::Shr { dst, a, b } => {
-                let sh = self.operand(lane, b, consts) & 63;
-                let v = self.reg(lane, *a) >> sh;
-                self.write_reg(lane, *dst, v);
-                Effect::None
-            }
-            Op::And { dst, a, b } => {
-                let v = self.reg(lane, *a) & self.operand(lane, b, consts);
-                self.write_reg(lane, *dst, v);
-                Effect::None
-            }
-            Op::Xor { dst, a, b } => {
-                let v = self.reg(lane, *a) ^ self.operand(lane, b, consts);
-                self.write_reg(lane, *dst, v);
-                Effect::None
-            }
-            Op::FAdd { dst, a, b } => {
-                let v = self.reg_f32(lane, *a) + self.operand_f32(lane, b, consts);
-                self.write_reg(lane, *dst, v.to_bits() as u64);
-                Effect::None
-            }
-            Op::FMul { dst, a, b } => {
-                let v = self.reg_f32(lane, *a) * self.operand_f32(lane, b, consts);
-                self.write_reg(lane, *dst, v.to_bits() as u64);
-                Effect::None
-            }
-            Op::FFma { dst, a, b, c } => {
-                let v = self.reg_f32(lane, *a).mul_add(
-                    self.operand_f32(lane, b, consts),
-                    self.operand_f32(lane, c, consts),
-                );
-                self.write_reg(lane, *dst, v.to_bits() as u64);
-                Effect::None
-            }
-            Op::ISetp { dst, a, b, cmp } => {
-                let a = self.reg(lane, *a) as i64;
-                let b = self.operand(lane, b, consts) as i64;
-                self.write_pred(lane, *dst, compare_i64(a, b, *cmp));
-                Effect::None
-            }
-            Op::FSetp { dst, a, b, cmp } => {
-                let a = self.reg_f32(lane, *a);
-                let b = self.operand_f32(lane, b, consts);
-                self.write_pred(lane, *dst, compare_f32(a, b, *cmp));
-                Effect::None
-            }
-            Op::Mufu { dst, a, func } => {
-                let x = self.reg_f32(lane, *a);
-                let v = match func {
-                    MufuFunc::Rcp => 1.0 / x,
-                    MufuFunc::Rsq => 1.0 / x.sqrt(),
-                    MufuFunc::Lg2 => x.log2(),
-                    MufuFunc::Ex2 => x.exp2(),
-                    MufuFunc::Sin => x.sin(),
-                    MufuFunc::Cos => x.cos(),
-                };
-                self.write_reg(lane, *dst, v.to_bits() as u64);
-                Effect::None
-            }
-            Op::Ldg { dst, addr, offset } | Op::Lds { dst, addr, offset } => {
-                let a = self.reg(lane, *addr).wrapping_add(*offset as u64);
-                Effect::Load { dst: *dst, addr: a }
-            }
-            Op::Stg { src, addr, offset } => {
-                let a = self.reg(lane, *addr).wrapping_add(*offset as u64);
-                Effect::Store {
-                    addr: a,
-                    value: self.reg(lane, *src),
-                }
-            }
-            Op::Tld { dst, addr, offset } => {
-                let a = self.reg(lane, *addr).wrapping_add(*offset as u64);
-                Effect::TexFetch { dst: *dst, addr: a }
-            }
+            Op::Stg { src, addr, offset } => Effect::Store {
+                addr: self.reg(lane, addr).wrapping_add(offset as u64),
+                value: self.reg(lane, src),
+            },
+            Op::Tld { dst, addr, offset } => Effect::TexFetch {
+                dst,
+                addr: self.reg(lane, addr).wrapping_add(offset as u64),
+            },
             Op::Tex { dst, coord } => Effect::TexFetch {
-                dst: *dst,
-                addr: self.reg(lane, *coord),
+                dst,
+                addr: self.reg(lane, coord),
             },
             Op::TraceRay { dst, ray } => Effect::TraceRay {
-                dst: *dst,
-                ray_id: self.reg(lane, *ray),
+                dst,
+                ray_id: self.reg(lane, ray),
             },
+            ref op => panic!("mem_effect: {} is not a memory or RT op", op.mnemonic()),
         }
     }
 }
@@ -341,23 +222,22 @@ impl HoistedSrc {
 }
 
 /// Applies one ALU-family instruction to every lane set in `mask` with a
-/// single opcode dispatch, instead of re-matching the opcode per lane.
+/// single opcode dispatch, instead of re-matching the opcode per lane. This
+/// is the ISA's only definition of what the ALU and MUFU ops compute; a
+/// single lane is the one-bit mask `1 << lane`.
 ///
 /// `mask` must already account for lane activity *and* the instruction guard:
 /// it is exactly the set of lanes whose value semantics should run. Returns
 /// `true` when the op was handled. Returns `false` — without touching any
-/// state — for ops outside the vectorizable family (control flow, memory,
-/// texture, RT traversal), which the caller must execute through the scalar
-/// [`RegFile::step`] path; those ops produce per-lane [`Effect`]s that the
-/// timing model consumes individually, so there is nothing to vectorize.
+/// state — for ops outside the ALU family (control flow, memory, texture,
+/// RT traversal): memory and RT ops go through [`RegFile::mem_effect`],
+/// whose per-lane [`Effect`]s the timing model consumes individually.
 ///
-/// Results are bit-identical to calling [`RegFile::step`] on each masked
-/// lane: every kernel below is the same arithmetic expression as the matching
-/// `step` arm, with only the resolution of lane-invariant sources
-/// (immediates, constant banks) hoisted out of the lane loop. With the
-/// register-major [`RegFile`] layout, each operand's per-lane reads walk one
-/// contiguous row. The parity property tests in `tests/alu_parity.rs` enforce
-/// bit-for-bit agreement over randomized masks and operands.
+/// Lane-invariant sources (immediates, constant banks) are resolved once,
+/// outside the lane loop. With the register-major [`RegFile`] layout, each
+/// operand's per-lane reads walk one contiguous row. `tests/alu_parity.rs`
+/// pins every kernel bit-for-bit against an independent per-lane reference
+/// over randomized masks and operands.
 pub fn step_alu_masked(rf: &mut RegFile, mask: u32, inst: &Instruction, consts: &ConstMem) -> bool {
     // Tight trailing_zeros iteration over the packed mask; `$lane` binds the
     // lane index inside each kernel.
@@ -639,41 +519,43 @@ mod tests {
         }
     }
 
+    /// Runs one ALU op on lane `L` alone: the one-bit mask.
+    fn step_lane(t: &mut RegFile, op: Op, c: &ConstMem) {
+        assert!(step_alu_masked(t, 1 << L, &op.into(), c));
+    }
+
     #[test]
     fn integer_math() {
         let (mut t, c) = ctx();
         t.write_reg(L, Reg(1), 10);
-        t.step(
-            L,
-            &Op::IAdd {
+        step_lane(
+            &mut t,
+            Op::IAdd {
                 dst: Reg(0),
                 a: Reg(1),
                 b: Operand::imm(5),
-            }
-            .into(),
+            },
             &c,
         );
         assert_eq!(t.reg(L, Reg(0)), 15);
-        t.step(
-            L,
-            &Op::IMad {
+        step_lane(
+            &mut t,
+            Op::IMad {
                 dst: Reg(2),
                 a: Reg(1),
                 b: Operand::imm(3),
                 c: Operand::imm(7),
-            }
-            .into(),
+            },
             &c,
         );
         assert_eq!(t.reg(L, Reg(2)), 37);
-        t.step(
-            L,
-            &Op::Shl {
+        step_lane(
+            &mut t,
+            Op::Shl {
                 dst: Reg(3),
                 a: Reg(1),
                 b: Operand::imm(2),
-            }
-            .into(),
+            },
             &c,
         );
         assert_eq!(t.reg(L, Reg(3)), 40);
@@ -683,26 +565,24 @@ mod tests {
     fn float_math_uses_low_32_bits() {
         let (mut t, c) = ctx();
         t.write_reg(L, Reg(1), 2.5f32.to_bits() as u64);
-        t.step(
-            L,
-            &Op::FMul {
+        step_lane(
+            &mut t,
+            Op::FMul {
                 dst: Reg(0),
                 a: Reg(1),
                 b: Operand::fimm(4.0),
-            }
-            .into(),
+            },
             &c,
         );
         assert_eq!(f32::from_bits(t.reg(L, Reg(0)) as u32), 10.0);
-        t.step(
-            L,
-            &Op::FFma {
+        step_lane(
+            &mut t,
+            Op::FFma {
                 dst: Reg(2),
                 a: Reg(1),
                 b: Operand::fimm(2.0),
                 c: Operand::fimm(1.0),
-            }
-            .into(),
+            },
             &c,
         );
         assert_eq!(f32::from_bits(t.reg(L, Reg(2)) as u32), 6.0);
@@ -712,27 +592,25 @@ mod tests {
     fn isetp_sets_predicates() {
         let (mut t, c) = ctx();
         t.write_reg(L, Reg(1), 7);
-        t.step(
-            L,
-            &Op::ISetp {
+        step_lane(
+            &mut t,
+            Op::ISetp {
                 dst: Pred(0),
                 a: Reg(1),
                 b: Operand::imm(7),
                 cmp: CmpOp::Eq,
-            }
-            .into(),
+            },
             &c,
         );
         assert!(t.pred(L, Pred(0)));
-        t.step(
-            L,
-            &Op::ISetp {
+        step_lane(
+            &mut t,
+            Op::ISetp {
                 dst: Pred(1),
                 a: Reg(1),
                 b: Operand::imm(3),
                 cmp: CmpOp::Lt,
-            }
-            .into(),
+            },
             &c,
         );
         assert!(!t.pred(L, Pred(1)));
@@ -750,119 +628,94 @@ mod tests {
         assert!(t.guard_passes(L, &i));
     }
 
+    /// Every memory/RT op yields its per-lane effect (a negative offset
+    /// wraps) and leaves `dst` untouched until writeback; any other op is a
+    /// caller bug and panics with its mnemonic.
     #[test]
-    fn load_computes_effective_address_without_writing_dst() {
-        let (mut t, c) = ctx();
+    fn mem_effects_compute_addresses_without_writing_dst() {
+        let (mut t, _) = ctx();
         t.write_reg(L, Reg(1), 0x1000);
         t.write_reg(L, Reg(2), 0xdead);
-        let e = t.step(
-            L,
-            &Instruction::new(Op::Ldg {
-                dst: Reg(2),
-                addr: Reg(1),
-                offset: 0x20,
-            })
-            .with_wr_sb(Scoreboard(0)),
-            &c,
-        );
-        assert_eq!(
-            e,
-            Effect::Load {
-                dst: Reg(2),
-                addr: 0x1020
-            }
-        );
-        // dst untouched until writeback.
-        assert_eq!(t.reg(L, Reg(2)), 0xdead);
-    }
-
-    #[test]
-    fn control_effects() {
-        let (mut t, c) = ctx();
-        assert_eq!(
-            t.step(
-                L,
-                &Op::Bssy {
-                    barrier: Barrier(0),
-                    target: 9
-                }
-                .into(),
-                &c
+        t.write_reg(L, Reg(3), 77);
+        let (dst, addr) = (Reg(2), Reg(1));
+        let cases = [
+            (
+                Op::Ldg {
+                    dst,
+                    addr,
+                    offset: 0x20,
+                },
+                Effect::Load { dst, addr: 0x1020 },
             ),
-            Effect::Bssy {
-                barrier: Barrier(0),
-                reconverge: 9
-            }
-        );
-        assert_eq!(
-            t.step(
-                L,
-                &Op::Bsync {
-                    barrier: Barrier(0)
-                }
-                .into(),
-                &c
+            (
+                Op::Lds {
+                    dst,
+                    addr,
+                    offset: -0x2000,
+                },
+                Effect::Load {
+                    dst,
+                    addr: 0x1000u64.wrapping_sub(0x2000),
+                },
             ),
-            Effect::Bsync {
-                barrier: Barrier(0)
-            }
-        );
-        assert_eq!(
-            t.step(L, &Op::Bra { target: 3 }.into(), &c),
-            Effect::Branch { target: 3 }
-        );
-        assert_eq!(t.step(L, &Op::Exit.into(), &c), Effect::Exit);
-        assert_eq!(t.step(L, &Op::Yield.into(), &c), Effect::Yield);
-    }
-
-    #[test]
-    fn trace_ray_carries_ray_id() {
-        let (mut t, c) = ctx();
-        t.write_reg(L, Reg(4), 1234);
-        let e = t.step(
-            L,
-            &Op::TraceRay {
-                dst: Reg(5),
-                ray: Reg(4),
-            }
-            .into(),
-            &c,
-        );
-        assert_eq!(
-            e,
-            Effect::TraceRay {
-                dst: Reg(5),
-                ray_id: 1234
-            }
-        );
+            (
+                Op::Stg {
+                    src: Reg(3),
+                    addr,
+                    offset: -8,
+                },
+                Effect::Store {
+                    addr: 0xff8,
+                    value: 77,
+                },
+            ),
+            (
+                Op::Tld {
+                    dst,
+                    addr,
+                    offset: 4,
+                },
+                Effect::TexFetch { dst, addr: 0x1004 },
+            ),
+            (
+                Op::Tex { dst, coord: addr },
+                Effect::TexFetch { dst, addr: 0x1000 },
+            ),
+            (
+                Op::TraceRay { dst, ray: Reg(3) },
+                Effect::TraceRay { dst, ray_id: 77 },
+            ),
+        ];
+        for (op, want) in cases {
+            let inst = Instruction::new(op).with_wr_sb(Scoreboard(0));
+            let before = t.clone();
+            assert_eq!(t.mem_effect(L, &inst), want, "{inst}");
+            assert_eq!(t, before, "{inst} must not write any register");
+        }
+        let iadd: Instruction = Op::IAdd {
+            dst,
+            a: addr,
+            b: Operand::imm(1),
+        }
+        .into();
+        let err = std::panic::catch_unwind(|| t.mem_effect(L, &iadd)).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("IADD"), "{msg}");
     }
 
     #[test]
     fn const_bank_defaults_to_one() {
         let (mut t, mut c) = ctx();
         t.write_reg(L, Reg(5), 3.0f32.to_bits() as u64);
-        t.step(
-            L,
-            &Op::FMul {
-                dst: Reg(10),
-                a: Reg(5),
-                b: Operand::cbank(1, 16),
-            }
-            .into(),
-            &c,
-        );
+        let fmul = Op::FMul {
+            dst: Reg(10),
+            a: Reg(5),
+            b: Operand::cbank(1, 16),
+        };
+        step_lane(&mut t, fmul.clone(), &c);
         assert_eq!(f32::from_bits(t.reg(L, Reg(10)) as u32), 3.0);
         c.set(1, 16, 2.0f32.to_bits() as u64);
-        t.step(
-            L,
-            &Op::FMul {
-                dst: Reg(10),
-                a: Reg(5),
-                b: Operand::cbank(1, 16),
-            }
-            .into(),
-            &c,
-        );
+        step_lane(&mut t, fmul, &c);
         assert_eq!(f32::from_bits(t.reg(L, Reg(10)) as u32), 6.0);
     }
 
@@ -870,14 +723,13 @@ mod tests {
     fn mufu_rcp() {
         let (mut t, c) = ctx();
         t.write_reg(L, Reg(1), 4.0f32.to_bits() as u64);
-        t.step(
-            L,
-            &Op::Mufu {
+        step_lane(
+            &mut t,
+            Op::Mufu {
                 dst: Reg(0),
                 a: Reg(1),
                 func: MufuFunc::Rcp,
-            }
-            .into(),
+            },
             &c,
         );
         assert_eq!(f32::from_bits(t.reg(L, Reg(0)) as u32), 0.25);

@@ -17,8 +17,10 @@
 //! - Ordinary math, predicate-setting, and control-flow operations.
 //!
 //! Programs are built with [`ProgramBuilder`], which resolves labels and
-//! validates scoreboard usage. Functional semantics (register updates,
-//! branch decisions, address generation) live in [`RegFile::step`].
+//! validates scoreboard usage. Functional semantics live in two places:
+//! [`step_alu_masked`] computes every ALU/MUFU result over a lane mask, and
+//! [`RegFile::mem_effect`] turns a memory or RT op into a per-lane address,
+//! store value or ray id. Control flow is warp-level logic in the simulator.
 //!
 //! ```
 //! use subwarp_isa::{ProgramBuilder, Reg, Pred, Barrier, Scoreboard, Operand};

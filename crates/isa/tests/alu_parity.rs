@@ -1,21 +1,140 @@
-//! Property tests: the mask-vectorized ALU path ([`step_alu_masked`]) must
-//! be bit-identical to the scalar per-lane reference ([`RegFile::step`])
-//! for every operation it claims, over adversarial values (NaNs, denormals,
+//! Property tests: the mask-vectorized ALU executor ([`step_alu_masked`]),
+//! the ISA's only definition of ALU/MUFU semantics, must be bit-identical
+//! to an independent per-lane reference ([`reference_step`], below) for
+//! every operation it claims, over adversarial values (NaNs, denormals,
 //! infinities, signed-overflow integers) and adversarial masks (full,
 //! empty, single-lane, sparse, dense).
 //!
-//! The simulator's issue path relies on this equivalence: it dispatches the
-//! ALU family through the vectorized entry point and everything else
-//! through the scalar fallback, and `figures all` byte-identity across that
-//! split is exactly the property exercised here.
+//! The reference resolves every operand per lane, constant banks included,
+//! and dispatches the opcode once per lane; the executor hoists
+//! lane-invariant sources and dispatches once per warp. Agreement between
+//! the two formulations is what pins the arithmetic: the simulator runs
+//! only the executor, so `figures all` rests on this property.
 
 use subwarp_isa::{
-    step_alu_masked, CmpOp, ConstMem, Instruction, MufuFunc, Op, Operand, Pred, Reg, RegFile,
-    N_PRED,
+    step_alu_masked, Barrier, CmpOp, ConstMem, Instruction, MufuFunc, Op, Operand, Pred, Reg,
+    RegFile, N_PRED,
 };
 
 const N_LANES: usize = 32;
 const N_REGS: usize = 16;
+
+fn operand(rf: &RegFile, lane: usize, o: &Operand, consts: &ConstMem) -> u64 {
+    match *o {
+        Operand::Reg(r) => rf.reg(lane, r),
+        Operand::Imm(v) => v as u64,
+        Operand::FImm(v) => v.to_bits() as u64,
+        Operand::CBank { bank, offset } => consts.get(bank, offset),
+    }
+}
+
+fn operand_f32(rf: &RegFile, lane: usize, o: &Operand, consts: &ConstMem) -> f32 {
+    f32::from_bits(operand(rf, lane, o, consts) as u32)
+}
+
+fn reg_f32(rf: &RegFile, lane: usize, r: Reg) -> f32 {
+    f32::from_bits(rf.reg(lane, r) as u32)
+}
+
+fn compare_i64(a: i64, b: i64, cmp: CmpOp) -> bool {
+    match cmp {
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+        CmpOp::Lt => a < b,
+        CmpOp::Le => a <= b,
+        CmpOp::Gt => a > b,
+        CmpOp::Ge => a >= b,
+    }
+}
+
+fn compare_f32(a: f32, b: f32, cmp: CmpOp) -> bool {
+    match cmp {
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+        CmpOp::Lt => a < b,
+        CmpOp::Le => a <= b,
+        CmpOp::Gt => a > b,
+        CmpOp::Ge => a >= b,
+    }
+}
+
+/// The per-lane reference: applies one ALU/MUFU instruction's value
+/// semantics to `lane` alone, resolving every operand for that lane.
+fn reference_step(rf: &mut RegFile, lane: usize, inst: &Instruction, consts: &ConstMem) {
+    match &inst.op {
+        Op::Mov { dst, src } => {
+            let v = operand(rf, lane, src, consts);
+            rf.write_reg(lane, *dst, v);
+        }
+        Op::IAdd { dst, a, b } => {
+            let v = rf.reg(lane, *a).wrapping_add(operand(rf, lane, b, consts));
+            rf.write_reg(lane, *dst, v);
+        }
+        Op::IMad { dst, a, b, c } => {
+            let v = rf
+                .reg(lane, *a)
+                .wrapping_mul(operand(rf, lane, b, consts))
+                .wrapping_add(operand(rf, lane, c, consts));
+            rf.write_reg(lane, *dst, v);
+        }
+        Op::Shl { dst, a, b } => {
+            let sh = operand(rf, lane, b, consts) & 63;
+            let v = rf.reg(lane, *a) << sh;
+            rf.write_reg(lane, *dst, v);
+        }
+        Op::Shr { dst, a, b } => {
+            let sh = operand(rf, lane, b, consts) & 63;
+            let v = rf.reg(lane, *a) >> sh;
+            rf.write_reg(lane, *dst, v);
+        }
+        Op::And { dst, a, b } => {
+            let v = rf.reg(lane, *a) & operand(rf, lane, b, consts);
+            rf.write_reg(lane, *dst, v);
+        }
+        Op::Xor { dst, a, b } => {
+            let v = rf.reg(lane, *a) ^ operand(rf, lane, b, consts);
+            rf.write_reg(lane, *dst, v);
+        }
+        Op::FAdd { dst, a, b } => {
+            let v = reg_f32(rf, lane, *a) + operand_f32(rf, lane, b, consts);
+            rf.write_reg(lane, *dst, v.to_bits() as u64);
+        }
+        Op::FMul { dst, a, b } => {
+            let v = reg_f32(rf, lane, *a) * operand_f32(rf, lane, b, consts);
+            rf.write_reg(lane, *dst, v.to_bits() as u64);
+        }
+        Op::FFma { dst, a, b, c } => {
+            let v = reg_f32(rf, lane, *a).mul_add(
+                operand_f32(rf, lane, b, consts),
+                operand_f32(rf, lane, c, consts),
+            );
+            rf.write_reg(lane, *dst, v.to_bits() as u64);
+        }
+        Op::ISetp { dst, a, b, cmp } => {
+            let a = rf.reg(lane, *a) as i64;
+            let b = operand(rf, lane, b, consts) as i64;
+            rf.write_pred(lane, *dst, compare_i64(a, b, *cmp));
+        }
+        Op::FSetp { dst, a, b, cmp } => {
+            let a = reg_f32(rf, lane, *a);
+            let b = operand_f32(rf, lane, b, consts);
+            rf.write_pred(lane, *dst, compare_f32(a, b, *cmp));
+        }
+        Op::Mufu { dst, a, func } => {
+            let x = reg_f32(rf, lane, *a);
+            let v = match func {
+                MufuFunc::Rcp => 1.0 / x,
+                MufuFunc::Rsq => 1.0 / x.sqrt(),
+                MufuFunc::Lg2 => x.log2(),
+                MufuFunc::Ex2 => x.exp2(),
+                MufuFunc::Sin => x.sin(),
+                MufuFunc::Cos => x.cos(),
+            };
+            rf.write_reg(lane, *dst, v.to_bits() as u64);
+        }
+        _ => panic!("reference_step: {inst} is not an ALU/MUFU op"),
+    }
+}
 
 fn splitmix64(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -183,7 +302,7 @@ fn lanes(mask: u32) -> impl Iterator<Item = usize> {
 }
 
 /// The core property: for every claimed op and any mask, the vectorized
-/// path leaves the register file bit-identical to per-lane scalar stepping,
+/// path leaves the register file bit-identical to per-lane reference stepping,
 /// and lanes outside the mask are untouched.
 #[test]
 fn vectorized_matches_scalar_reference() {
@@ -203,7 +322,7 @@ fn vectorized_matches_scalar_reference() {
 
         let mut scalar = start.clone();
         for lane in lanes(mask) {
-            scalar.step(lane, &inst, &consts);
+            reference_step(&mut scalar, lane, &inst, &consts);
         }
         assert_eq!(
             vectorized, scalar,
@@ -242,7 +361,7 @@ fn full_mask_equals_lane_by_lane_composition() {
 }
 
 /// Ops outside the ALU family are refused without touching state, so the
-/// caller's scalar fallback sees pristine inputs.
+/// caller's per-lane memory path sees pristine inputs.
 #[test]
 fn non_alu_ops_are_refused_untouched() {
     let consts = test_consts();
@@ -276,6 +395,17 @@ fn non_alu_ops_are_refused_untouched() {
         Op::Tex {
             dst: Reg(1),
             coord: Reg(0),
+        },
+        Op::TraceRay {
+            dst: Reg(1),
+            ray: Reg(0),
+        },
+        Op::Bssy {
+            barrier: Barrier(0),
+            target: 3,
+        },
+        Op::Bsync {
+            barrier: Barrier(0),
         },
     ];
     for op in non_alu {
@@ -347,7 +477,7 @@ fn nan_and_denormal_floats_bit_identical() {
         assert!(step_alu_masked(&mut vectorized, u32::MAX, &inst, &consts));
         let mut scalar = rf.clone();
         for lane in 0..N_LANES {
-            scalar.step(lane, &inst, &consts);
+            reference_step(&mut scalar, lane, &inst, &consts);
         }
         assert_eq!(
             vectorized, scalar,

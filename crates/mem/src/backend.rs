@@ -404,9 +404,10 @@ impl PartitionCore {
 /// capturing the load-dependent effects that matter to Subwarp Interleaving:
 /// bank conflicts, MSHR pressure, row locality, and channel bandwidth.
 ///
-/// Each instance is one SM's *handle* onto a [`PartitionCore`]: the MSHR
-/// file and all counters are per-SM (per the paper's per-SM MSHR model),
-/// while the partition behind them may be shared chip-wide via
+/// Each instance is one SM's *handle* onto a memory partition (L2 banks,
+/// DRAM rows and channels): the MSHR file and all counters are per-SM (per
+/// the paper's per-SM MSHR model), while the partition behind them may be
+/// shared chip-wide via
 /// [`HierarchicalBackend::new_shared`]. Same-line requests from *different*
 /// SMs do not MSHR-merge — the second SM sees an L2 hit instead, because the
 /// first SM's access already allocated the line.

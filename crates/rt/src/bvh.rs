@@ -40,11 +40,12 @@ pub struct Bvh {
 const LEAF_SIZE: usize = 4;
 
 impl Bvh {
-    /// Builds a BVH by recursive median split on the longest centroid axis.
+    /// Builds a BVH by recursive median split on the longest centroid axis,
+    /// taking ownership of the scene (read it back with [`Bvh::scene`]).
     ///
     /// # Panics
     /// Panics if the scene has no triangles.
-    pub fn build(scene: &Scene) -> Bvh {
+    pub fn build(scene: Scene) -> Bvh {
         assert!(
             !scene.triangles().is_empty(),
             "cannot build a BVH over an empty scene"
@@ -52,11 +53,11 @@ impl Bvh {
         let mut order: Vec<u32> = (0..scene.triangles().len() as u32).collect();
         let mut nodes = Vec::new();
         let n = order.len();
-        build_node(scene, &mut order, 0, n, &mut nodes);
+        build_node(&scene, &mut order, 0, n, &mut nodes);
         Bvh {
             nodes,
             order,
-            scene: scene.clone(),
+            scene,
         }
     }
 
@@ -176,8 +177,7 @@ mod tests {
 
     #[test]
     fn single_triangle_hit_and_miss() {
-        let scene = Scene::two_triangles();
-        let bvh = Bvh::build(&scene);
+        let bvh = Bvh::build(Scene::two_triangles());
         // Ray at left triangle (material 0, centered x = -2).
         let hit = bvh.traverse(&Ray::new(
             Vec3::new(-2.0, 0.0, -5.0),
@@ -216,7 +216,7 @@ mod tests {
             c: Vec3::new(0.0, 1.0, 5.0),
             material: 9,
         });
-        let bvh = Bvh::build(&scene);
+        let bvh = Bvh::build(scene);
         let t = bvh.traverse(&Ray::new(Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0)));
         let h = t.hit.expect("hit");
         assert_eq!(h.material, 7);
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn bvh_matches_brute_force_on_random_scene() {
         let scene = Scene::random_soup(200, 11);
-        let bvh = Bvh::build(&scene);
+        let bvh = Bvh::build(scene.clone());
         let origins = [
             Vec3::new(0.0, 0.0, -10.0),
             Vec3::new(2.0, 1.0, -10.0),
@@ -264,8 +264,8 @@ mod tests {
 
     #[test]
     fn deeper_scenes_visit_more_nodes() {
-        let small = Bvh::build(&Scene::random_soup(8, 3));
-        let large = Bvh::build(&Scene::random_soup(4096, 3));
+        let small = Bvh::build(Scene::random_soup(8, 3));
+        let large = Bvh::build(Scene::random_soup(4096, 3));
         let ray = Ray::new(Vec3::new(0.0, 0.0, -10.0), Vec3::new(0.0, 0.0, 1.0));
         assert!(large.traverse(&ray).nodes_visited > small.traverse(&ray).nodes_visited);
         assert!(large.node_count() > small.node_count());
@@ -274,6 +274,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty scene")]
     fn empty_scene_panics() {
-        Bvh::build(&Scene::empty());
+        Bvh::build(Scene::empty());
     }
 }

@@ -23,8 +23,7 @@
 //! ```
 //! use subwarp_rt::{Scene, Bvh, Ray, Vec3};
 //!
-//! let scene = Scene::random_soup(64, 7);
-//! let bvh = Bvh::build(&scene);
+//! let bvh = Bvh::build(Scene::random_soup(64, 7));
 //! let ray = Ray::new(Vec3::new(0.0, 0.0, -5.0), Vec3::new(0.0, 0.0, 1.0));
 //! let t = bvh.traverse(&ray);
 //! assert!(t.nodes_visited > 0);

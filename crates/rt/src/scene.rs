@@ -272,7 +272,7 @@ mod tests {
     fn cornell_scene_encloses_the_camera_frustum() {
         let s = Scene::cornell_like();
         assert_eq!(s.material_count(), 7);
-        let bvh = Bvh::build(&s);
+        let bvh = Bvh::build(s);
         // Every camera ray hits something (the box encloses the view).
         for i in 0..64u32 {
             let ray = Scene::camera_ray(i % 8, i / 8, 8, 8);
@@ -283,8 +283,7 @@ mod tests {
     #[test]
     fn camera_rays_cover_the_scene() {
         // A dense soup should be hit by a decent fraction of camera rays.
-        let s = Scene::random_soup(2000, 2);
-        let bvh = Bvh::build(&s);
+        let bvh = Bvh::build(Scene::random_soup(2000, 2));
         let (w, h) = (16, 16);
         let hits = (0..w * h)
             .filter(|&i| {
@@ -299,7 +298,7 @@ mod tests {
     fn hit_entropy_orders_soup_above_city() {
         // The soup scene should scatter a warp's 32 rays across more
         // materials than the structured city — this is the divergence knob.
-        let count_materials = |scene: &Scene| {
+        let count_materials = |scene: Scene| {
             let bvh = Bvh::build(scene);
             let mut mats = std::collections::HashSet::new();
             for i in 0..32 {
@@ -313,7 +312,7 @@ mod tests {
         let soup = Scene::soup_with_materials(3000, 8, 3);
         let city = Scene::grid_city(8, 4, 8, 3);
         assert!(
-            count_materials(&soup) > count_materials(&city),
+            count_materials(soup) > count_materials(city),
             "soup should have higher hit entropy"
         );
     }

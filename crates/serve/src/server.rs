@@ -354,7 +354,7 @@ impl Server {
         }
     }
 
-    /// Waits for the dispatcher to finish (call after [`drain`]).
+    /// Waits for the dispatcher to finish (call after [`drain`](Self::drain)).
     pub fn join(&self) {
         let handle = self
             .dispatcher

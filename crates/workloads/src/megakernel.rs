@@ -148,8 +148,7 @@ impl MegakernelConfig {
     /// Casts and traces every thread's rays, producing the RT-core trace
     /// (ray id `gtid + bounce * total_threads`).
     fn trace_rays(&self) -> RtTrace {
-        let scene = self.scene.build(self.seed);
-        let bvh = Bvh::build(&scene);
+        let bvh = Bvh::build(self.scene.build(self.seed));
         let n_materials = self.scene.materials();
         let miss_shader = n_materials;
         let total = self.n_warps * WARP_SIZE;

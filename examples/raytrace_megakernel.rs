@@ -20,8 +20,8 @@ fn main() {
     };
 
     // Inspect the scene/BVH the generator will trace through.
-    let scene = Scene::soup_with_materials(4000, 8, 7);
-    let bvh = Bvh::build(&scene);
+    let bvh = Bvh::build(Scene::soup_with_materials(4000, 8, 7));
+    let scene = bvh.scene();
     println!(
         "scene: {} triangles, {} materials, BVH of {} nodes",
         scene.triangles().len(),

@@ -132,7 +132,7 @@ fn bvh_traversal_matches_brute_force() {
         let (ox, oy) = (rng.gen_range(-3.0..3.0f32), rng.gen_range(-3.0..3.0f32));
         let (dx, dy) = (rng.gen_range(-1.0..1.0f32), rng.gen_range(-1.0..1.0f32));
         let scene = Scene::random_soup(n_tris, seed);
-        let bvh = Bvh::build(&scene);
+        let bvh = Bvh::build(scene.clone());
         let ray = Ray::new(Vec3::new(ox, oy, -10.0), Vec3::new(dx, dy, 1.0));
         let got = bvh.traverse(&ray).hit;
         let mut want: Option<(u32, f32)> = None;
