@@ -91,17 +91,17 @@ fn main() {
     );
     println!(
         "exposed load-to-use       {:>12}  ({:.1}% of time; divergent {:.1}%)",
-        stats.exposed_load_stalls,
+        stats.exposed_load_stalls(),
         stats.exposed_ratio() * 100.0,
         stats.exposed_divergent_ratio() * 100.0
     );
     println!(
         "exposed traversal stalls  {:>12}",
-        stats.exposed_traversal_stalls
+        stats.exposed_traversal_stalls()
     );
     println!(
         "exposed fetch stalls      {:>12}",
-        stats.exposed_fetch_stalls
+        stats.exposed_fetch_stalls()
     );
     println!(
         "divergences/reconverges   {:>12}  / {}",

@@ -110,7 +110,7 @@ pub fn table3(iterations: u32) -> Result<Vec<Table3Row>, SimError> {
                 subwarp_size: ss,
                 divergence_factor: 32 / ss,
                 speedup: s.speedup_vs(b),
-                si_fetch_ratio: s.exposed_fetch_stalls as f64 / s.cycles as f64,
+                si_fetch_ratio: s.exposed_fetch_stalls() as f64 / s.cycles as f64,
             }
         })
         .collect())
@@ -218,7 +218,10 @@ pub fn fig12b() -> Result<Vec<Fig12bRow>, SimError> {
             let (b, s) = (&row[0], &row[1]);
             Fig12bRow {
                 name: name.to_owned(),
-                total_reduction: RunStats::reduction(s.exposed_load_stalls, b.exposed_load_stalls),
+                total_reduction: RunStats::reduction(
+                    s.exposed_load_stalls(),
+                    b.exposed_load_stalls(),
+                ),
                 divergent_reduction: RunStats::reduction(
                     s.exposed_load_stalls_divergent,
                     b.exposed_load_stalls_divergent,

@@ -1422,16 +1422,8 @@ impl<'a, 'p> SimState<'a, 'p> {
             return;
         }
         self.stats.idle_cycles += n;
-        match c.cause {
-            CycleCause::LoadStall => {
-                self.stats.exposed_load_stalls += n;
-                if c.load_stall_divergent {
-                    self.stats.exposed_load_stalls_divergent += n;
-                }
-            }
-            CycleCause::TraversalStall => self.stats.exposed_traversal_stalls += n,
-            CycleCause::FetchStall => self.stats.exposed_fetch_stalls += n,
-            _ => {}
+        if c.cause == CycleCause::LoadStall && c.load_stall_divergent {
+            self.stats.exposed_load_stalls_divergent += n;
         }
         self.tally_cause(c.cause, n);
     }

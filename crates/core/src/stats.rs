@@ -1,6 +1,8 @@
 //! Run statistics, including the paper's headline metric: *exposed
 //! load-to-use stalls*.
 
+use std::fmt;
+
 use subwarp_mem::{CacheStats, MemBackendStats};
 
 /// The single cause attributed to one simulated SM cycle.
@@ -86,7 +88,7 @@ pub const PHASE_NAMES: [&str; N_PHASES] = ["issue", "execute", "memory", "fast_f
 /// cycles; the divergent variant restricts to cycles where a memory-stalled
 /// warp was executing a divergent code block (its subwarp mask differs from
 /// the warp's participating mask).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Cycles until all warps retired (the slowest SM's count when
     /// simulating multiple SMs).
@@ -99,29 +101,20 @@ pub struct RunStats {
     /// Issued instructions by execution unit, indexed by
     /// `[alu, mufu, lsu, tex, rt, control]`.
     pub issued_by_unit: [u64; 6],
-    /// Cycles where the SM issued nothing and ≥1 warp was stalled on an
-    /// outstanding long-latency memory operation.
-    pub exposed_load_stalls: u64,
     /// The subset of [`exposed_load_stalls`](Self::exposed_load_stalls)
-    /// where a memory-stalled warp was in a divergent code block.
+    /// where a memory-stalled warp was in a divergent code block. Kept as
+    /// a counter: no [`CycleCause`] records divergence.
     pub exposed_load_stalls_divergent: u64,
-    /// Cycles where the SM issued nothing and the only memory-stalled warps
-    /// were waiting on RT-core traversals (the Amdahl's-law component the
-    /// paper identifies in §VI, limiter #2) — disjoint from
-    /// [`exposed_load_stalls`](Self::exposed_load_stalls).
-    pub exposed_traversal_stalls: u64,
-    /// Cycles where the SM issued nothing and ≥1 warp was waiting on an
-    /// instruction fetch (the I-cache-thrashing limiter, §V-A/§VI).
-    pub exposed_fetch_stalls: u64,
-    /// Cycles where the SM issued nothing at all.
+    /// Cycles where the SM issued nothing while at least one resident warp
+    /// had not retired. Kept as a counter: it excludes the
+    /// launch/drain slack that [`CycleCause::Idle`] also holds, so it
+    /// cannot be read off the cause buckets.
     pub idle_cycles: u64,
     /// Exhaustive per-cycle cause attribution, indexed by
-    /// [`CycleCause::index`]. Unlike the `exposed_*` counters above (which
-    /// keep the paper's historical definitions and may leave trailing
-    /// non-issue cycles unclassified), every simulated cycle lands in
-    /// exactly one bucket here; the conservation invariant checks that the
-    /// buckets sum to [`sm_cycles_total`](Self::sm_cycles_total) (per SM:
-    /// its `cycles`).
+    /// [`CycleCause::index`]. Every simulated cycle lands in exactly one
+    /// bucket; the conservation invariant checks that the buckets sum to
+    /// [`sm_cycles_total`](Self::sm_cycles_total) (per SM: its `cycles`).
+    /// The `exposed_*` load/traversal/fetch counts are read from here.
     pub cycle_causes: [u64; CycleCause::COUNT],
     /// subwarp-stall demotions performed (SI only).
     pub subwarp_stalls: u64,
@@ -161,6 +154,41 @@ pub struct RunStats {
     pub per_sm: Vec<RunStats>,
 }
 
+/// The derived form, with the `exposed_*` methods' values in the places
+/// their fields held: the frozen trace corpus digests hash this text.
+impl fmt::Debug for RunStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RunStats")
+            .field("cycles", &self.cycles)
+            .field("sm_cycles_total", &self.sm_cycles_total)
+            .field("instructions", &self.instructions)
+            .field("issued_by_unit", &self.issued_by_unit)
+            .field("exposed_load_stalls", &self.exposed_load_stalls())
+            .field(
+                "exposed_load_stalls_divergent",
+                &self.exposed_load_stalls_divergent,
+            )
+            .field("exposed_traversal_stalls", &self.exposed_traversal_stalls())
+            .field("exposed_fetch_stalls", &self.exposed_fetch_stalls())
+            .field("idle_cycles", &self.idle_cycles)
+            .field("cycle_causes", &self.cycle_causes)
+            .field("subwarp_stalls", &self.subwarp_stalls)
+            .field("subwarp_switches", &self.subwarp_switches)
+            .field("subwarp_yields", &self.subwarp_yields)
+            .field("divergences", &self.divergences)
+            .field("reconvergences", &self.reconvergences)
+            .field("l0i", &self.l0i)
+            .field("l1i", &self.l1i)
+            .field("l1d", &self.l1d)
+            .field("rt_traversals", &self.rt_traversals)
+            .field("peak_resident_warps", &self.peak_resident_warps)
+            .field("mem", &self.mem)
+            .field("phase_nanos", &self.phase_nanos)
+            .field("per_sm", &self.per_sm)
+            .finish()
+    }
+}
+
 impl RunStats {
     /// Speedup of this run relative to `baseline` (>1 means faster).
     ///
@@ -182,13 +210,36 @@ impl RunStats {
         }
     }
 
+    /// Cycles where the SM issued nothing and ≥1 warp was stalled on an
+    /// outstanding long-latency memory operation
+    /// ([`CycleCause::LoadStall`]).
+    pub fn exposed_load_stalls(&self) -> u64 {
+        self.cause(CycleCause::LoadStall)
+    }
+
+    /// Cycles where the SM issued nothing and the only memory-stalled warps
+    /// were waiting on RT-core traversals (the Amdahl's-law component the
+    /// paper identifies in §VI, limiter #2) — disjoint from
+    /// [`exposed_load_stalls`](Self::exposed_load_stalls)
+    /// ([`CycleCause::TraversalStall`]).
+    pub fn exposed_traversal_stalls(&self) -> u64 {
+        self.cause(CycleCause::TraversalStall)
+    }
+
+    /// Cycles where the SM issued nothing and ≥1 warp was waiting on an
+    /// instruction fetch (the I-cache-thrashing limiter, §V-A/§VI;
+    /// [`CycleCause::FetchStall`]).
+    pub fn exposed_fetch_stalls(&self) -> u64 {
+        self.cause(CycleCause::FetchStall)
+    }
+
     /// Exposed load-to-use stall cycles as a fraction of kernel time
     /// (the y-axis of the paper's Figure 3).
     pub fn exposed_ratio(&self) -> f64 {
         if self.time_denominator() == 0 {
             0.0
         } else {
-            self.exposed_load_stalls as f64 / self.time_denominator() as f64
+            self.exposed_load_stalls() as f64 / self.time_denominator() as f64
         }
     }
 
@@ -210,10 +261,7 @@ impl RunStats {
         for (a, b) in self.issued_by_unit.iter_mut().zip(sm.issued_by_unit.iter()) {
             *a += b;
         }
-        self.exposed_load_stalls += sm.exposed_load_stalls;
         self.exposed_load_stalls_divergent += sm.exposed_load_stalls_divergent;
-        self.exposed_traversal_stalls += sm.exposed_traversal_stalls;
-        self.exposed_fetch_stalls += sm.exposed_fetch_stalls;
         self.idle_cycles += sm.idle_cycles;
         for (a, b) in self.cycle_causes.iter_mut().zip(sm.cycle_causes.iter()) {
             *a += b;
@@ -293,20 +341,20 @@ mod tests {
 
     #[test]
     fn speedup_and_ratios() {
-        let base = RunStats {
-            cycles: 1000,
-            exposed_load_stalls: 400,
-            ..Default::default()
+        let run = |cycles, load_stalls| {
+            let mut s = RunStats {
+                cycles,
+                ..Default::default()
+            };
+            s.cycle_causes[CycleCause::LoadStall.index()] = load_stalls;
+            s
         };
-        let si = RunStats {
-            cycles: 800,
-            exposed_load_stalls: 100,
-            ..Default::default()
-        };
+        let (base, si) = (run(1000, 400), run(800, 100));
         assert!((si.speedup_vs(&base) - 1.25).abs() < 1e-12);
         assert!((base.exposed_ratio() - 0.4).abs() < 1e-12);
         assert!(
-            (RunStats::reduction(si.exposed_load_stalls, base.exposed_load_stalls) - 0.75).abs()
+            (RunStats::reduction(si.exposed_load_stalls(), base.exposed_load_stalls()) - 0.75)
+                .abs()
                 < 1e-12
         );
     }

@@ -199,7 +199,7 @@ fn mufu_is_slower_than_alu_but_not_a_memory_stall() {
         mufu.cycles > alu.cycles + 32 * 8,
         "MUFU chain must be slower"
     );
-    assert_eq!(mufu.exposed_load_stalls, 0);
+    assert_eq!(mufu.exposed_load_stalls(), 0);
 }
 
 #[test]

@@ -71,9 +71,9 @@ fn straight_line_kernel_issues_once_per_cycle_per_pb() {
         "took {} cycles",
         stats.cycles
     );
-    assert_eq!(stats.exposed_load_stalls, 0);
+    assert_eq!(stats.exposed_load_stalls(), 0);
     assert!(
-        stats.exposed_fetch_stalls > 0,
+        stats.exposed_fetch_stalls() > 0,
         "cold code pays fetch stalls"
     );
 }
@@ -110,9 +110,9 @@ fn figure9_baseline_serializes_and_exposes_stalls() {
         stats.cycles
     );
     assert!(
-        stats.exposed_load_stalls > 900,
+        stats.exposed_load_stalls() > 900,
         "stalls: {}",
-        stats.exposed_load_stalls
+        stats.exposed_load_stalls()
     );
     // Both stalls happen in divergent code.
     assert!(stats.exposed_load_stalls_divergent > 900);
@@ -146,7 +146,7 @@ fn figure9_si_overlaps_the_two_misses() {
         );
         assert!(stats.subwarp_stalls >= 1, "{}: no demotions", si.label());
         assert!(
-            stats.exposed_load_stalls < base.exposed_load_stalls,
+            stats.exposed_load_stalls() < base.exposed_load_stalls(),
             "{}: SI should reduce exposed stalls",
             si.label()
         );
@@ -363,8 +363,8 @@ fn trace_ray_latency_scales_with_nodes_and_returns_shader() {
     );
     assert_eq!(shallow.rt_traversals, 32);
     // Traversal stalls are attributed separately from load-to-use stalls.
-    assert!(shallow.exposed_traversal_stalls > 0);
-    assert_eq!(shallow.exposed_load_stalls, 0);
+    assert!(shallow.exposed_traversal_stalls() > 0);
+    assert_eq!(shallow.exposed_load_stalls(), 0);
 }
 
 #[test]

@@ -33,6 +33,7 @@ use subwarp_core::{
 };
 use subwarp_isa::{Barrier, CmpOp, Operand, Pred, Program, ProgramBuilder, Reg, Scoreboard};
 use subwarp_prng::SmallRng;
+use subwarp_sweep::json::{append_line, json_escape, open_jsonl, Value};
 
 /// Which memory pipe (and therefore latency class) a generated load uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -569,71 +570,25 @@ pub struct SeedOutcome {
     pub failure: Option<Divergence>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = (&mut chars).take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-fn parse_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn parse_string_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    // Find the closing quote, skipping escaped ones.
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '\\' if !escaped => escaped = true,
-            '"' if !escaped => return Some(json_unescape(&rest[..i])),
-            _ => escaped = false,
-        }
-    }
-    None
+/// Decodes one line written by [`FuzzJournal::record`]; `None` for a line
+/// of any other shape.
+fn outcome_from_json(v: &Value) -> Option<SeedOutcome> {
+    let seed = v.u64_field("seed")?;
+    let failure = match v.str_field("kind")? {
+        "ok" => None,
+        "fail" => Some(Divergence {
+            seed,
+            config: v.str_field("config")?.to_owned(),
+            what: v.str_field("what")?.to_owned(),
+        }),
+        _ => return None,
+    };
+    Some(SeedOutcome {
+        seed,
+        runs: v.u64_field("runs")?,
+        instructions: v.u64_field("instructions")?,
+        failure,
+    })
 }
 
 /// An append-only JSONL journal of per-seed fuzzing outcomes, enabling
@@ -659,52 +614,15 @@ pub struct FuzzJournal {
 
 impl FuzzJournal {
     /// Opens (creating if absent) the journal at `path`, loading previously
-    /// completed seeds; malformed lines are skipped.
+    /// completed seeds; malformed lines are skipped, and a torn last line
+    /// is ended so the next record starts a line of its own.
     pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<FuzzJournal> {
-        use std::io::BufRead;
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
         let mut completed = std::collections::HashMap::new();
-        match std::fs::File::open(path) {
-            Ok(f) => {
-                for line in std::io::BufReader::new(f).lines() {
-                    let line = line?;
-                    let parsed = (|| {
-                        let seed = parse_u64_field(&line, "seed")?;
-                        let runs = parse_u64_field(&line, "runs")?;
-                        let instructions = parse_u64_field(&line, "instructions")?;
-                        let failure = match parse_string_field(&line, "kind")?.as_str() {
-                            "ok" => None,
-                            "fail" => Some(Divergence {
-                                seed,
-                                config: parse_string_field(&line, "config")?,
-                                what: parse_string_field(&line, "what")?,
-                            }),
-                            _ => return None,
-                        };
-                        Some(SeedOutcome {
-                            seed,
-                            runs,
-                            instructions,
-                            failure,
-                        })
-                    })();
-                    if let Some(o) = parsed {
-                        completed.insert(o.seed, o);
-                    }
-                }
+        let file = open_jsonl(path.as_ref(), |_, v| {
+            if let Some(o) = outcome_from_json(&v) {
+                completed.insert(o.seed, o);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
+        })?;
         Ok(FuzzJournal {
             restored: completed.len(),
             completed: std::sync::Mutex::new(completed),
@@ -728,15 +646,14 @@ impl FuzzJournal {
 
     /// Records one completed seed (appended and flushed immediately).
     pub fn record(&self, outcome: &SeedOutcome) {
-        use std::io::Write;
         let line = match &outcome.failure {
             None => format!(
-                "{{\"kind\":\"ok\",\"seed\":{},\"runs\":{},\"instructions\":{}}}\n",
+                "{{\"kind\":\"ok\",\"seed\":{},\"runs\":{},\"instructions\":{}}}",
                 outcome.seed, outcome.runs, outcome.instructions
             ),
             Some(d) => format!(
                 "{{\"kind\":\"fail\",\"seed\":{},\"runs\":{},\"instructions\":{},\
-                 \"config\":\"{}\",\"what\":\"{}\"}}\n",
+                 \"config\":\"{}\",\"what\":\"{}\"}}",
                 outcome.seed,
                 outcome.runs,
                 outcome.instructions,
@@ -746,8 +663,7 @@ impl FuzzJournal {
         };
         {
             let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = f.write_all(line.as_bytes());
-            let _ = f.flush();
+            let _ = append_line(&mut f, &line);
         }
         self.completed
             .lock()
@@ -997,28 +913,47 @@ mod tests {
     #[test]
     fn journal_tolerates_a_corrupt_tail_line() {
         use std::io::Write;
-        let path = temp_journal_path("corrupt");
-        let _ = std::fs::remove_file(&path);
-        {
+        let outcome = |seed, runs| SeedOutcome {
+            seed,
+            runs,
+            instructions: 10 * runs,
+            failure: None,
+        };
+        // Crash tails: truncated inside a key, torn right after the seed,
+        // and a complete record that lost only its newline.
+        let tails: [(&[u8], Option<u64>); 3] = [
+            (b"{\"kind\":\"ok\",\"se", None),
+            (b"{\"kind\":\"ok\",\"seed\":3,", None),
+            (
+                b"{\"kind\":\"ok\",\"seed\":3,\"runs\":7,\"instructions\":70}",
+                Some(7),
+            ),
+        ];
+        for (tail, tail_runs) in tails {
+            let path = temp_journal_path("corrupt");
+            let _ = std::fs::remove_file(&path);
+            FuzzJournal::open(&path).unwrap().record(&outcome(1, 10));
+            // Simulate a crash mid-append.
+            {
+                let mut f = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .unwrap();
+                f.write_all(tail).unwrap();
+            }
             let j = FuzzJournal::open(&path).unwrap();
-            j.record(&SeedOutcome {
-                seed: 1,
-                runs: 10,
-                instructions: 100,
-                failure: None,
-            });
+            assert_eq!(j.restored(), 1 + tail_runs.is_some() as usize);
+            assert!(j.lookup(1).is_some());
+            // The next record after the tail must survive a reopen with
+            // its own counters; a torn seed stays absent, a complete one
+            // keeps its own.
+            j.record(&outcome(5, 2));
+            drop(j);
+            let j = FuzzJournal::open(&path).unwrap();
+            let five = j.lookup(5).expect("record after a torn tail is restored");
+            assert_eq!((five.runs, five.instructions), (2, 20));
+            assert_eq!(j.lookup(3).map(|o| o.runs), tail_runs);
+            let _ = std::fs::remove_file(&path);
         }
-        // Simulate a crash mid-append: a truncated, malformed final line.
-        {
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(b"{\"kind\":\"ok\",\"se").unwrap();
-        }
-        let j = FuzzJournal::open(&path).unwrap();
-        assert_eq!(j.restored(), 1);
-        assert!(j.lookup(1).is_some());
-        let _ = std::fs::remove_file(&path);
     }
 }

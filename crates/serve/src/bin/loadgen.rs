@@ -33,9 +33,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use subwarp_serve::json::Value;
 use subwarp_serve::traffic::RecordedCall;
 use subwarp_serve::{Client, Recording};
+use subwarp_sweep::json::Value;
 
 const DEFAULT_SPECS: &[&str] = &[
     r#"{"workload":"toy"}"#,

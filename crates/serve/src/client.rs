@@ -5,7 +5,8 @@ use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::json::{parse, Value};
+use subwarp_sweep::json::{parse, Value};
+
 use crate::wire::{read_bounded_line, BoundedLine};
 
 /// Reply lines are machine-written by the daemon and small; anything past

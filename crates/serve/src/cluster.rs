@@ -27,11 +27,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use subwarp_pool::Backoff;
+use subwarp_sweep::json::parse;
 
 use crate::client::Client;
-use crate::json::parse;
 use crate::spec::JobSpec;
-use crate::wire::{err_line, read_bounded_line, BoundedLine, WireLimits};
+use crate::wire::{err_line, request_cmd, serve_lines, WireLimits};
 
 /// Router tuning; every wait it can incur is bounded by one of these.
 #[derive(Debug, Clone)]
@@ -347,14 +347,7 @@ impl Router {
                 return (err_line("bad-request", &e.to_string(), None), false);
             }
         };
-        let cmd = req
-            .str_field("cmd")
-            .unwrap_or(if req.get("workload").is_some() {
-                "run"
-            } else {
-                ""
-            });
-        match cmd {
+        match request_cmd(&req) {
             "ping" => {
                 let up = (0..self.cfg.shards.len())
                     .filter(|&i| self.health(i).up)
@@ -395,64 +388,26 @@ impl Router {
             }
         }
     }
-
-    fn note_conn_timeout(&self) {
-        self.counters.conn_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_oversized(&self) {
-        self.counters.oversized.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
-/// Serves one client connection against the router until EOF or shutdown;
-/// same hostile-client defenses as the daemon-side `serve_connection`
-/// (bounded lines, read-deadline accounting). Returns `true` when the
-/// client asked for shutdown.
+/// Serves one client connection against the router until EOF or shutdown,
+/// through the daemon's connection loop (bounded lines, read-deadline
+/// accounting; see [`serve_connection`](crate::wire::serve_connection)).
+/// Returns `true` when the client asked for shutdown.
 pub fn route_connection<R: BufRead, W: Write>(
     router: &Router,
-    mut reader: R,
-    mut writer: W,
+    reader: R,
+    writer: W,
     limits: WireLimits,
 ) -> std::io::Result<bool> {
-    loop {
-        let line = match read_bounded_line(&mut reader, limits.max_line) {
-            Ok(BoundedLine::Line(l)) => l,
-            Ok(BoundedLine::Eof) => return Ok(false),
-            Ok(BoundedLine::TooLong) => {
-                router.note_oversized();
-                let mut reply = err_line(
-                    "too-long",
-                    &format!("request line exceeds {} bytes", limits.max_line),
-                    None,
-                );
-                reply.push('\n');
-                let _ = writer.write_all(reply.as_bytes());
-                let _ = writer.flush();
-                return Ok(false);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                router.note_conn_timeout();
-                return Ok(false);
-            }
-            Err(e) => return Err(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (mut reply, shutdown) = router.handle_line(&line);
-        reply.push('\n');
-        writer.write_all(reply.as_bytes())?;
-        writer.flush()?;
-        if shutdown {
-            return Ok(true);
-        }
-    }
+    let c = &router.counters;
+    serve_lines(
+        reader,
+        writer,
+        limits,
+        (&c.oversized, &c.conn_timeouts),
+        |line| router.handle_line(line),
+    )
 }
 
 #[cfg(test)]

@@ -3,7 +3,6 @@
 //!
 //! | Module | What it owns |
 //! |---|---|
-//! | [`json`] | std-only JSON parser (lossless 64-bit integers) |
 //! | [`spec`] | the job vocabulary: request or command line → validated [`spec::JobSpec`] + content fingerprint |
 //! | [`store`] | fingerprint-keyed memo store over the locked sweep journal |
 //! | [`server`] | admission control, coalescing, supervised dispatch, drain |
@@ -39,13 +38,17 @@
 pub mod chaos;
 pub mod client;
 pub mod cluster;
-pub mod json;
 pub mod listen;
 pub mod server;
 pub mod spec;
 pub mod store;
 pub mod traffic;
 pub mod wire;
+
+/// Re-exported for the `benchmark/` workspace, which imports
+/// `subwarp_serve::json::{parse, Value}`; the codec lives in
+/// [`subwarp_sweep::json`].
+pub use subwarp_sweep::json;
 
 pub use chaos::{ChaosPlan, ChaosProxy, ConnFate};
 pub use client::Client;

@@ -221,23 +221,6 @@ impl Server {
         &self.inner.store
     }
 
-    /// Accounts one connection closed by a read deadline (see
-    /// [`crate::wire::serve_connection`]).
-    pub fn note_conn_timeout(&self) {
-        self.inner
-            .counters
-            .conn_timeouts
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accounts one oversized request line.
-    pub fn note_oversized(&self) {
-        self.inner
-            .counters
-            .oversized
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Jobs currently queued or in flight.
     pub fn pending(&self) -> usize {
         self.inner

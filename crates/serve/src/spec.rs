@@ -35,10 +35,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use subwarp_core::{
     DivergeOrder, HierarchyConfig, MemBackendConfig, SelectPolicy, SiConfig, SmConfig, Workload,
 };
+use subwarp_sweep::json::Value;
 use subwarp_sweep::{cell_fingerprint, workload_hash};
 use subwarp_workloads::{figure9_workload, microbenchmark_with, trace_by_name, MicroConfig};
-
-use crate::json::Value;
 
 /// A fully resolved simulation job: shared workload, validated configs, a
 /// canonical label, and the content fingerprint the memo store keys on.
@@ -305,7 +304,7 @@ pub fn request_from_argv<I: Iterator<Item = String>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use subwarp_sweep::json::parse;
 
     fn spec(line: &str) -> Result<JobSpec, String> {
         JobSpec::from_request(&parse(line).unwrap())

@@ -19,12 +19,13 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use subwarp_core::RunStats;
-use subwarp_sweep::{json_escape, stats_to_units};
+use subwarp_sweep::json::{json_escape, parse, Value};
+use subwarp_sweep::push_stats_json;
 
-use crate::json::{parse, Value};
 use crate::server::{Server, Submitted};
 use crate::spec::JobSpec;
 
@@ -116,22 +117,16 @@ pub fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize) -> std::io::Res
 
 /// Formats a successful run reply.
 pub fn ok_line(fp: u64, label: &str, cached: bool, stats: &RunStats) -> String {
-    let (u, ch) = stats_to_units(stats);
-    let fmt = |v: &[u64]| {
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
+    let mut line = format!(
         "{{\"ok\":true,\"fp\":\"{fp:016x}\",\"label\":\"{}\",\"cached\":{cached},\
-         \"cycles\":{},\"instructions\":{},\"u\":[{}],\"ch\":[{}]}}",
+         \"cycles\":{},\"instructions\":{},",
         json_escape(label),
         stats.cycles,
-        stats.instructions,
-        fmt(&u),
-        fmt(&ch)
-    )
+        stats.instructions
+    );
+    push_stats_json(&mut line, stats);
+    line.push('}');
+    line
 }
 
 /// Formats a failure reply; `retry_after_ms` marks retryable sheds.
@@ -148,16 +143,20 @@ pub fn err_line(kind: &str, message: &str, retry_after_ms: Option<u64>) -> Strin
     }
 }
 
-/// Answers one parsed request. Returns `(reply, shutdown_requested)`.
-pub fn handle_request(server: &Server, client: &str, req: &Value) -> (String, bool) {
-    let cmd = req
-        .str_field("cmd")
+/// A request's command: its `cmd` field, defaulting to `"run"` when a
+/// `workload` is present and to `""` (an unknown command) otherwise.
+pub(crate) fn request_cmd(req: &Value) -> &str {
+    req.str_field("cmd")
         .unwrap_or(if req.get("workload").is_some() {
             "run"
         } else {
             ""
-        });
-    match cmd {
+        })
+}
+
+/// Answers one parsed request. Returns `(reply, shutdown_requested)`.
+pub fn handle_request(server: &Server, client: &str, req: &Value) -> (String, bool) {
+    match request_cmd(req) {
         "ping" => (
             format!(
                 "{{\"ok\":true,\"pong\":true,\"phase\":\"{}\"}}",
@@ -202,27 +201,56 @@ pub fn handle_request(server: &Server, client: &str, req: &Value) -> (String, bo
 /// NDJSON lines from `reader`, writes one reply line each to `writer`.
 /// Malformed lines get a `bad-request` reply and the connection lives on —
 /// a confused client must not take the daemon with it. Returns `true` when
-/// the client asked for shutdown.
-///
-/// Two hostile-client defenses are enforced here: a request line longer
-/// than [`WireLimits::max_line`] gets a typed `too-long` error reply and
-/// the connection is closed (never buffered unboundedly), and a read that
-/// times out (the socket's read timeout, set on the accept path) closes
-/// the connection and is counted in the server's `conn_timeouts` stat — a
-/// slowloris client cannot pin a handler thread forever.
+/// the client asked for shutdown. The hostile-client defenses are those
+/// of the connection loop the router shares, counted in the server's
+/// `oversized` and `conn_timeouts` stats.
 pub fn serve_connection<R: BufRead, W: Write>(
     server: &Server,
     client: &str,
+    reader: R,
+    writer: W,
+    limits: WireLimits,
+) -> std::io::Result<bool> {
+    let c = server.counters();
+    serve_lines(
+        reader,
+        writer,
+        limits,
+        (&c.oversized, &c.conn_timeouts),
+        |line| match parse(line) {
+            Ok(req) => handle_request(server, client, &req),
+            Err(e) => (err_line("bad-request", &e.to_string(), None), false),
+        },
+    )
+}
+
+/// The one NDJSON connection loop, shared by the daemon
+/// ([`serve_connection`]) and the router
+/// ([`route_connection`](crate::cluster::route_connection)): each
+/// non-blank line goes to `answer`, which returns `(reply, shutdown)`, and
+/// each reply goes out in one write. Returns `true` when `answer` asked
+/// for shutdown.
+///
+/// Two hostile-client defenses are enforced here, each counted in one of
+/// the `(oversized, conn_timeouts)` counters: a request line longer than
+/// [`WireLimits::max_line`] gets a typed `too-long` error reply and the
+/// connection is closed (never buffered unboundedly), and a read that
+/// times out (the socket's read timeout, set on the accept path) closes
+/// the connection — a slowloris client cannot pin a handler thread
+/// forever.
+pub(crate) fn serve_lines<R: BufRead, W: Write>(
     mut reader: R,
     mut writer: W,
     limits: WireLimits,
+    (oversized, conn_timeouts): (&AtomicU64, &AtomicU64),
+    mut answer: impl FnMut(&str) -> (String, bool),
 ) -> std::io::Result<bool> {
     loop {
         let line = match read_bounded_line(&mut reader, limits.max_line) {
             Ok(BoundedLine::Line(l)) => l,
             Ok(BoundedLine::Eof) => return Ok(false),
             Ok(BoundedLine::TooLong) => {
-                server.note_oversized();
+                oversized.fetch_add(1, Ordering::Relaxed);
                 let mut reply = err_line(
                     "too-long",
                     &format!("request line exceeds {} bytes", limits.max_line),
@@ -241,8 +269,8 @@ pub fn serve_connection<R: BufRead, W: Write>(
             {
                 // The socket read deadline fired while waiting for (or in
                 // the middle of) a request line: a stalled client, not a
-                // daemon bug. Close and account for it.
-                server.note_conn_timeout();
+                // bug. Close and account for it.
+                conn_timeouts.fetch_add(1, Ordering::Relaxed);
                 return Ok(false);
             }
             Err(e) => return Err(e),
@@ -250,10 +278,7 @@ pub fn serve_connection<R: BufRead, W: Write>(
         if line.trim().is_empty() {
             continue;
         }
-        let (mut reply, shutdown) = match parse(&line) {
-            Ok(req) => handle_request(server, client, &req),
-            Err(e) => (err_line("bad-request", &e.to_string(), None), false),
-        };
+        let (mut reply, shutdown) = answer(&line);
         // One write per reply: splitting the newline into a second write
         // trips Nagle + delayed-ACK and turns sub-ms cached replies into
         // ~40-200 ms ones.

@@ -16,10 +16,10 @@ use std::time::{Duration, Instant};
 use subwarp_pool::Backoff;
 use subwarp_serve::chaos::{ChaosPlan, ChaosProxy};
 use subwarp_serve::cluster::{Router, RouterConfig};
-use subwarp_serve::json::parse;
 use subwarp_serve::listen::{accept_loop, Conns};
 use subwarp_serve::wire::{tcp_handler, WireLimits};
 use subwarp_serve::{JobSpec, MemoStore, Phase, Server, ServerConfig};
+use subwarp_sweep::json::parse;
 
 fn shard_config() -> ServerConfig {
     ServerConfig {

@@ -13,11 +13,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use subwarp_core::{FaultKind, FaultPlan, RunStats};
-use subwarp_serve::json::parse;
 use subwarp_serve::listen::{accept_loop, Conns};
 use subwarp_serve::server::JobReply;
 use subwarp_serve::wire::{tcp_handler, WireLimits};
 use subwarp_serve::{Client, JobSpec, MemoStore, Phase, Server, ServerConfig, Submitted};
+use subwarp_sweep::json::parse;
 
 /// A small config sized for single-core CI: tiny batches, generous
 /// deadline, no retries unless a test opts in.

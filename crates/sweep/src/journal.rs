@@ -2,11 +2,14 @@
 //! all-integer `RunStats` codec it is built on.
 
 use std::collections::HashMap;
-use std::io::{BufRead, ErrorKind, Write};
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use subwarp_core::RunStats;
+
+use crate::json::{append_line, create_parent_dir, json_escape, open_jsonl, Value};
 
 // ----------------------------------------------------------- stats codec
 
@@ -21,10 +24,10 @@ pub fn stats_to_units(s: &RunStats) -> (Vec<u64>, Vec<u64>) {
     u.push(s.sm_cycles_total);
     u.push(s.instructions);
     u.extend_from_slice(&s.issued_by_unit);
-    u.push(s.exposed_load_stalls);
+    u.push(s.exposed_load_stalls());
     u.push(s.exposed_load_stalls_divergent);
-    u.push(s.exposed_traversal_stalls);
-    u.push(s.exposed_fetch_stalls);
+    u.push(s.exposed_traversal_stalls());
+    u.push(s.exposed_fetch_stalls());
     u.push(s.idle_cycles);
     u.extend_from_slice(&s.cycle_causes);
     u.push(s.subwarp_stalls);
@@ -54,19 +57,19 @@ pub fn stats_to_units(s: &RunStats) -> (Vec<u64>, Vec<u64>) {
 }
 
 /// Inverse of [`stats_to_units`]. Returns `None` when the fixed-field
-/// vector has the wrong arity (a torn or foreign journal line).
+/// vector has the wrong arity (a torn or foreign journal line), or when
+/// its stored `exposed_*` load/traversal/fetch fields (9, 11, 12) disagree
+/// with the cycle causes they are derived from (15, 16, 17) — the codec
+/// only accepts what [`stats_to_units`] can write.
 pub fn units_to_stats(u: &[u64], ch: &[u64]) -> Option<RunStats> {
-    if u.len() != 44 {
+    if u.len() != 44 || (u[9], u[11], u[12]) != (u[15], u[16], u[17]) {
         return None;
     }
     let mut s = RunStats {
         cycles: u[0],
         sm_cycles_total: u[1],
         instructions: u[2],
-        exposed_load_stalls: u[9],
         exposed_load_stalls_divergent: u[10],
-        exposed_traversal_stalls: u[11],
-        exposed_fetch_stalls: u[12],
         idle_cycles: u[13],
         subwarp_stalls: u[22],
         subwarp_switches: u[23],
@@ -98,43 +101,32 @@ pub fn units_to_stats(u: &[u64], ch: &[u64]) -> Option<RunStats> {
     Some(s)
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `"u":[..],"ch":[..]`, the exact integer encoding of `stats`
+/// ([`stats_to_units`]), to `out`. Journal lines and wire replies both
+/// carry a result through this one writer, so a result re-served from the
+/// journal is byte-identical to the reply its simulation produced.
+pub fn push_stats_json(out: &mut String, stats: &RunStats) {
+    let (u, ch) = stats_to_units(stats);
+    for (key, ints) in [("\"u\":[", &u), (",\"ch\":[", &ch)] {
+        out.push_str(key);
+        for (i, x) in ints.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{x}");
         }
+        out.push(']');
     }
-    out
 }
 
-/// Extracts the value of a `"key":[...]` integer array from one journal
-/// line. Minimal by design: journal lines are machine-written by this
-/// module, so anything that does not parse is treated as a truncated tail
-/// and skipped by the loader.
-fn parse_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":[");
-    let start = line.find(&pat)? + pat.len();
-    let end = start + line[start..].find(']')?;
-    let body = &line[start..end];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|t| t.trim().parse().ok()).collect()
-}
-
-fn parse_hex_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = start + line[start..].find('"')?;
-    u64::from_str_radix(&line[start..end], 16).ok()
+/// Reads back what [`push_stats_json`] wrote, from a parsed journal line.
+/// `None` when either array is missing, holds a non-integer, or
+/// does not decode ([`units_to_stats`]).
+fn stats_from_json(v: &Value) -> Option<RunStats> {
+    let ints = |key: &str| -> Option<Vec<u64>> {
+        v.get(key)?.as_arr()?.iter().map(Value::as_u64).collect()
+    };
+    units_to_stats(&ints("u")?, &ints("ch")?)
 }
 
 // ------------------------------------------------------------------- lock
@@ -377,45 +369,28 @@ pub struct CompactStats {
 impl Journal {
     /// Opens (creating if absent) the journal at `path`, taking the
     /// exclusive lock and loading previously completed cells. Malformed
-    /// lines — e.g. the torn tail of a killed run — are skipped. Fails with
+    /// lines — e.g. the torn tail of a killed run — are skipped, and a last
+    /// line without its newline is ended so the next record starts a line
+    /// of its own ([`open_jsonl`]). Fails with
     /// [`ErrorKind::WouldBlock`] naming the holder when another live
     /// process holds the lock.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Journal> {
         let path = path.as_ref().to_path_buf();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
+        create_parent_dir(&path)?;
         let lock = acquire_lock(&path)?;
         let mut state = JournalState::default();
-        match std::fs::File::open(&path) {
-            Ok(f) => {
-                for line in std::io::BufReader::new(f).lines() {
-                    let line = line?;
-                    let parsed = (|| {
-                        let fp = parse_hex_field(&line, "fp")?;
-                        let u = parse_u64_array(&line, "u")?;
-                        let ch = parse_u64_array(&line, "ch")?;
-                        Some((fp, units_to_stats(&u, &ch)?))
-                    })();
-                    if let Some((fp, stats)) = parsed {
-                        state.completed.insert(fp, stats);
-                        state.lines.insert(fp, line);
-                        // Initial recency = line order: a compacted journal
-                        // (written oldest-touched first) reloads with its
-                        // LRU order intact.
-                        state.bump(fp);
-                    }
-                }
+        let file = open_jsonl(&path, |line, v| {
+            let fp = v
+                .str_field("fp")
+                .and_then(|h| u64::from_str_radix(h, 16).ok());
+            if let Some((fp, stats)) = fp.zip(stats_from_json(&v)) {
+                state.completed.insert(fp, stats);
+                state.lines.insert(fp, line.to_owned());
+                // Initial recency = line order: a compacted journal (written
+                // oldest-touched first) reloads with its LRU order intact.
+                state.bump(fp);
             }
-            Err(e) if e.kind() == ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
+        })?;
         Ok(Journal {
             path,
             restored: state.completed.len(),
@@ -482,19 +457,12 @@ impl Journal {
     /// (compaction takes the file lock first, then the state lock) and can
     /// never be dropped from the rewritten journal.
     pub fn record(&self, fp: u64, label: &str, stats: &RunStats) {
-        let (u, ch) = stats_to_units(stats);
-        let fmt_ints = |v: &[u64]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let line = format!(
-            "{{\"v\":1,\"fp\":\"{fp:016x}\",\"label\":\"{}\",\"u\":[{}],\"ch\":[{}]}}",
-            json_escape(label),
-            fmt_ints(&u),
-            fmt_ints(&ch)
+        let mut line = format!(
+            "{{\"v\":1,\"fp\":\"{fp:016x}\",\"label\":\"{}\",",
+            json_escape(label)
         );
+        push_stats_json(&mut line, stats);
+        line.push('}');
         {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
             st.completed.insert(fp, stats.clone());
@@ -503,9 +471,7 @@ impl Journal {
         }
         let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
         // A failed append degrades resume granularity, never the sweep.
-        let _ = f.write_all(line.as_bytes());
-        let _ = f.write_all(b"\n");
-        let _ = f.flush();
+        let _ = append_line(&mut f, &line);
     }
 
     /// Rewrites the journal keeping only live records (superseded duplicate

@@ -18,6 +18,10 @@
 //! - [`Journal`]: an append-only JSONL checkpoint keyed by
 //!   [`cell_fingerprint`], exact for the all-integer `RunStats`, guarded by
 //!   an exclusive lock file so two writers can never interleave.
+//! - [`json`]: the workspace's one JSON codec — a std-only reader with
+//!   lossless 64-bit integers, the string escaper, and the JSONL file
+//!   (torn lines skipped, one flushed write per record) under both this
+//!   journal and the fuzzer's.
 //! - [`SweepPolicy`] + [`FaultPlan`] deterministic fault injection — the
 //!   chaos path exercised by `figures chaos` and the CI `chaos-smoke` and
 //!   `serve-smoke` jobs.
@@ -32,12 +36,14 @@ use subwarp_workloads::built_suite;
 
 pub mod fingerprint;
 pub mod journal;
+pub mod json;
 
 pub use fingerprint::{cell_fingerprint, fnv1a, workload_hash};
 pub use journal::{
-    json_escape, lock_path_for, stats_to_units, units_to_stats, CompactPolicy, CompactStats,
+    lock_path_for, push_stats_json, stats_to_units, units_to_stats, CompactPolicy, CompactStats,
     CompactStep, Journal,
 };
+pub use json::json_escape;
 
 // ------------------------------------------------------------------- Sweep
 

@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use subwarp_core::{FaultKind, FaultPlan, SiConfig, SimError, SmConfig};
 use subwarp_sweep::{
-    cell_fingerprint, job_error_to_sim, lock_path_for, run_resilient, workload_hash, Journal,
-    Sweep, SweepPolicy,
+    cell_fingerprint, job_error_to_sim, lock_path_for, run_resilient, stats_to_units,
+    units_to_stats, workload_hash, Journal, Sweep, SweepPolicy,
 };
 use subwarp_workloads::{figure9_workload, microbenchmark};
 
@@ -85,6 +85,16 @@ fn journal_roundtrip_restores_stats_exactly() {
     assert!(j.lookup(1).is_none());
     drop(j);
     cleanup(&path);
+
+    // The codec takes back only what it writes: a stored exposed-stall
+    // field that disagrees with its cycle cause is rejected.
+    let (u, ch) = stats_to_units(&stats);
+    assert_eq!(units_to_stats(&u, &ch), Some(stats));
+    for field in [9, 11, 12] {
+        let mut bad = u.clone();
+        bad[field] += 1;
+        assert_eq!(units_to_stats(&bad, &ch), None, "field {field}");
+    }
 }
 
 #[test]
@@ -181,27 +191,49 @@ fn resumed_sweep_equals_uninterrupted_sweep() {
 #[test]
 fn journal_skips_corrupt_tail_and_stale_fingerprints() {
     let path = temp_journal("corrupt");
-    cleanup(&path);
     let grid = run_resilient(&tiny_sweep(), &SweepPolicy::default());
     let stats = grid.cell(0, 0).as_ref().unwrap().clone();
-    {
+    let mut later = grid.cell(0, 1).as_ref().unwrap().clone();
+    later.cycles = 900;
+    let complete = {
+        let mut line = String::from("{\"v\":1,\"fp\":\"00000000000000ee\",\"label\":\"y\",");
+        subwarp_sweep::push_stats_json(&mut line, &stats);
+        line + "}"
+    };
+    // Torn tails from a killed run: truncated inside an array, torn right
+    // after the label, and a complete record that lost only its newline.
+    let tails = [
+        ("{\"v\":1,\"fp\":\"00000000000000ff\",\"u\":[1,2", false),
+        (
+            "{\"v\":1,\"fp\":\"00000000000000ff\",\"label\":\"x\",",
+            false,
+        ),
+        (complete.as_str(), true),
+    ];
+    for (tail, tail_is_complete) in tails {
+        cleanup(&path);
+        Journal::open(&path).unwrap().record(7, "toy/base", &stats);
+        {
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
+            f.write_all(tail.as_bytes()).unwrap();
+        }
+        // The torn tail must be skipped, not corrupt the load...
         let j = Journal::open(&path).unwrap();
-        j.record(7, "toy/base", &stats);
+        assert_eq!(j.restored(), 1 + tail_is_complete as usize);
+        assert!(j.lookup(7).is_some());
+        assert!(j.lookup(0xff).is_none());
+        // ...nor swallow the next record appended after it.
+        j.record(9, "toy/later", &later);
+        drop(j);
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.lookup(9), Some(later.clone()), "tail {tail:?}");
+        assert!(j.lookup(0xff).is_none(), "tail {tail:?}");
+        assert_eq!(j.lookup(0xee).is_some(), tail_is_complete, "tail {tail:?}");
+        drop(j);
     }
-    // Torn tail from a killed run: must be skipped, not corrupt the load.
-    {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        f.write_all(b"{\"v\":1,\"fp\":\"00000000000000ff\",\"u\":[1,2")
-            .unwrap();
-    }
-    let j = Journal::open(&path).unwrap();
-    assert_eq!(j.restored(), 1);
-    assert!(j.lookup(7).is_some());
-    assert!(j.lookup(0xff).is_none());
-    drop(j);
     cleanup(&path);
 }
 

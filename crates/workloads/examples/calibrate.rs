@@ -27,8 +27,8 @@ fn main() {
             b.cycles,
             b.exposed_ratio() * 100.0,
             b.exposed_divergent_ratio() * 100.0,
-            b.exposed_traversal_stalls as f64 / b.cycles as f64 * 100.0,
-            b.exposed_fetch_stalls as f64 / b.cycles as f64 * 100.0,
+            b.exposed_traversal_stalls() as f64 / b.cycles as f64 * 100.0,
+            b.exposed_fetch_stalls() as f64 / b.cycles as f64 * 100.0,
             spd,
             s.subwarp_stalls,
             s.subwarp_switches

@@ -32,8 +32,8 @@ fn main() {
             b.cycles as f64 / s.cycles as f64,
             b.cycles,
             s.cycles,
-            s.exposed_fetch_stalls as f64 / s.cycles as f64 * 100.0,
-            s.exposed_load_stalls as f64 / s.cycles as f64 * 100.0
+            s.exposed_fetch_stalls() as f64 / s.cycles as f64 * 100.0,
+            s.exposed_load_stalls() as f64 / s.cycles as f64 * 100.0
         );
     }
 }

@@ -30,7 +30,7 @@ fn main() {
             32 / subwarp_size,
             si.speedup_vs(&base),
             si.exposed_ratio() * 100.0,
-            si.exposed_fetch_stalls as f64 / si.cycles as f64 * 100.0,
+            si.exposed_fetch_stalls() as f64 / si.cycles as f64 * 100.0,
         );
     }
     println!("\npaper Table III: 1.98 / 3.95 / 7.84 / 15.22 / 12.66");

@@ -57,11 +57,13 @@ fn main() {
 
     println!(
         "baseline            : {:>6} cycles ({} exposed stall cycles)",
-        base.cycles, base.exposed_load_stalls
+        base.cycles,
+        base.exposed_load_stalls()
     );
     println!(
         "subwarp interleaving: {:>6} cycles ({} exposed stall cycles)",
-        si.cycles, si.exposed_load_stalls
+        si.cycles,
+        si.exposed_load_stalls()
     );
     println!(
         "speedup             : {:.2}x  (the two ~600-cycle misses overlap)",

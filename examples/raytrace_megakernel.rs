@@ -76,8 +76,8 @@ fn main() {
     row("instructions", base.instructions, si.instructions);
     row(
         "exposed load-to-use",
-        base.exposed_load_stalls,
-        si.exposed_load_stalls,
+        base.exposed_load_stalls(),
+        si.exposed_load_stalls(),
     );
     row(
         "  ...in divergent code",
@@ -86,8 +86,8 @@ fn main() {
     );
     row(
         "exposed RT-traversal",
-        base.exposed_traversal_stalls,
-        si.exposed_traversal_stalls,
+        base.exposed_traversal_stalls(),
+        si.exposed_traversal_stalls(),
     );
     row("divergences", base.divergences, si.divergences);
     row(

@@ -246,7 +246,7 @@ fn traversal_amdahl_limits_ddgi() {
         let s = si_sim.run(&wl).unwrap();
         (
             gain_pct(&s, &b),
-            b.exposed_traversal_stalls as f64 / b.cycles as f64,
+            b.exposed_traversal_stalls() as f64 / b.cycles as f64,
         )
     };
     let (ddgi_gain, ddgi_trav) = run("DDGI");
