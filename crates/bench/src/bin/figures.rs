@@ -11,8 +11,9 @@
 //! and renders the Figure 12a-style speedup report over *those* files
 //! instead of the built-in suite (selected as the `trace` figure, which is
 //! the default when only `--trace` flags are given). Cells are journaled
-//! under the trace content fingerprint, so `--resume` works across
-//! processes as long as the file bytes are unchanged.
+//! under the workload's key (for a canonical file, the file's trace
+//! fingerprint), so `--resume` works across processes as long as the
+//! decoded workload is unchanged.
 //!
 //! `mem-sweep` (the hierarchical-memory-backend sensitivity study) and
 //! `chip-sweep` (SI gain vs SM count on shared L2/DRAM partitions, the
@@ -212,7 +213,7 @@ fn banner(s: &str) {
 /// Figure 12a-style speedup report over `--trace` files.
 fn trace_figure(files: &[String], csvs: &mut Vec<(String, String)>) -> Result<(), SimError> {
     banner("Trace files: speedup over baseline at 600-cycle miss latency");
-    let mut loaded: Vec<x::LoadedTrace> = Vec::new();
+    let mut loaded = Vec::new();
     for path in files {
         let (wl, fp) = resolve_workload(&format!("file:{path}")).map_err(|what| {
             SimError::InvalidWorkload {
@@ -230,7 +231,7 @@ fn trace_figure(files: &[String], csvs: &mut Vec<(String, String)>) -> Result<()
             wl.program.len(),
             wl.n_warps
         );
-        loaded.push((name, wl, fp));
+        loaded.push((name, wl));
     }
     let rows = x::trace_report(&loaded)?;
     let labels: Vec<String> = rows[0].speedups.iter().map(|(l, _)| l.clone()).collect();

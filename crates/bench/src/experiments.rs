@@ -694,20 +694,17 @@ pub fn chip_sweep() -> Result<Vec<ChipSweepRow>, SimError> {
 
 // ----------------------------------------------------------- trace files
 
-/// A workload loaded from a serialized `subwarp-trace` file: display name,
-/// shared workload, and the trace content fingerprint that keys its sweep
-/// cells.
-pub type LoadedTrace = (String, Arc<subwarp_core::Workload>, u64);
-
 /// Figure 12a-style report over trace files instead of the built-in
-/// suite: each file is a row (keyed by trace content fingerprint, so
-/// `--resume` journals survive across processes), the columns are the
-/// baseline plus the six SI settings.
-pub fn trace_report(files: &[LoadedTrace]) -> Result<Vec<Fig12aRow>, SimError> {
+/// suite: each `(name, workload)` is a row (keyed like every workload by
+/// its canonical encoding, so `--resume` journals survive across
+/// processes), the columns are the baseline plus the six SI settings.
+pub fn trace_report(
+    files: &[(String, Arc<subwarp_core::Workload>)],
+) -> Result<Vec<Fig12aRow>, SimError> {
     let configs = si_configs();
     let mut sweep = Sweep::new();
-    for (name, wl, fp) in files {
-        sweep = sweep.workload_hashed(name.clone(), Arc::clone(wl), *fp);
+    for (name, wl) in files {
+        sweep = sweep.workload(name.clone(), Arc::clone(wl));
     }
     sweep = sweep.config("base", SmConfig::turing_like(), SiConfig::disabled());
     for (label, si) in &configs {

@@ -12,6 +12,7 @@
 //! and resumed sweeps reproduce the uninterrupted result byte-for-byte.
 
 use crate::error::SimError;
+use crate::hash::fnv1a;
 use subwarp_prng::{splitmix64, SmallRng};
 
 /// What a [`FaultPlan`] does to one sweep cell.
@@ -59,16 +60,6 @@ pub struct FaultPlan {
     pub targeted: Vec<(String, FaultKind)>,
 }
 
-/// FNV-1a over the label, the traditional dependency-free string hash.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl FaultPlan {
     /// A plan that injects nothing (useful as a base for builders).
     pub fn none(seed: u64) -> FaultPlan {
@@ -95,7 +86,7 @@ impl FaultPlan {
                 return None;
             }
         }
-        let mut state = self.seed ^ fnv1a(label);
+        let mut state = self.seed ^ fnv1a(0, label.as_bytes());
         let mut rng = SmallRng::seed_from_u64(splitmix64(&mut state) ^ attempt as u64);
         let draw = |rng: &mut SmallRng| (rng.next_u64() % 1000) as u16;
         if self.panic_per_mille > 0 && draw(&mut rng) < self.panic_per_mille {

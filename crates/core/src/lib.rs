@@ -59,6 +59,7 @@
 mod config;
 mod error;
 mod fault;
+mod hash;
 mod image;
 mod profile;
 mod sm;
@@ -70,10 +71,11 @@ mod workload;
 pub use config::{DivergeOrder, SchedulerPolicy, SelectPolicy, SiConfig, SmConfig, WARP_SIZE};
 pub use error::{mask_lanes, InvariantLevel, SimError, StateSnapshot, WarpSnapshot};
 pub use fault::{FaultKind, FaultPlan};
+pub use hash::fnv1a;
 pub use image::MemoryImage;
 pub use profile::{ChromeTraceProfiler, CounterSample, Profiler};
 pub use sm::{Simulator, DEADLOCK_WINDOW, ICACHE_LINE};
-pub use stats::{CycleCause, RunStats, N_PHASES, PHASE_NAMES};
+pub use stats::{stats_to_units, units_to_stats, CycleCause, RunStats, N_PHASES, PHASE_NAMES};
 pub use trace::{EventKind, EventRecorder, TraceEvent};
 pub use workload::{InitValue, RayResult, RegInit, RtTrace, Workload};
 

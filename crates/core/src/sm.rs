@@ -72,16 +72,6 @@ impl Simulator {
         Simulator { sm, si }
     }
 
-    /// The SM configuration.
-    pub fn sm_config(&self) -> &SmConfig {
-        &self.sm
-    }
-
-    /// The SI configuration.
-    pub fn si_config(&self) -> &SiConfig {
-        &self.si
-    }
-
     /// Runs `workload` to completion and returns its statistics.
     ///
     /// # Errors

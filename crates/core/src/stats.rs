@@ -1,8 +1,6 @@
 //! Run statistics, including the paper's headline metric: *exposed
 //! load-to-use stalls*.
 
-use std::fmt;
-
 use subwarp_mem::{CacheStats, MemBackendStats};
 
 /// The single cause attributed to one simulated SM cycle.
@@ -88,7 +86,7 @@ pub const PHASE_NAMES: [&str; N_PHASES] = ["issue", "execute", "memory", "fast_f
 /// cycles; the divergent variant restricts to cycles where a memory-stalled
 /// warp was executing a divergent code block (its subwarp mask differs from
 /// the warp's participating mask).
-#[derive(Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Cycles until all warps retired (the slowest SM's count when
     /// simulating multiple SMs).
@@ -152,41 +150,6 @@ pub struct RunStats {
     /// the (possibly chip-shared) memory partition's traffic — and the
     /// nested `per_sm` vectors are always empty.
     pub per_sm: Vec<RunStats>,
-}
-
-/// The derived form, with the `exposed_*` methods' values in the places
-/// their fields held: the frozen trace corpus digests hash this text.
-impl fmt::Debug for RunStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunStats")
-            .field("cycles", &self.cycles)
-            .field("sm_cycles_total", &self.sm_cycles_total)
-            .field("instructions", &self.instructions)
-            .field("issued_by_unit", &self.issued_by_unit)
-            .field("exposed_load_stalls", &self.exposed_load_stalls())
-            .field(
-                "exposed_load_stalls_divergent",
-                &self.exposed_load_stalls_divergent,
-            )
-            .field("exposed_traversal_stalls", &self.exposed_traversal_stalls())
-            .field("exposed_fetch_stalls", &self.exposed_fetch_stalls())
-            .field("idle_cycles", &self.idle_cycles)
-            .field("cycle_causes", &self.cycle_causes)
-            .field("subwarp_stalls", &self.subwarp_stalls)
-            .field("subwarp_switches", &self.subwarp_switches)
-            .field("subwarp_yields", &self.subwarp_yields)
-            .field("divergences", &self.divergences)
-            .field("reconvergences", &self.reconvergences)
-            .field("l0i", &self.l0i)
-            .field("l1i", &self.l1i)
-            .field("l1d", &self.l1d)
-            .field("rt_traversals", &self.rt_traversals)
-            .field("peak_resident_warps", &self.peak_resident_warps)
-            .field("mem", &self.mem)
-            .field("phase_nanos", &self.phase_nanos)
-            .field("per_sm", &self.per_sm)
-            .finish()
-    }
 }
 
 impl RunStats {
@@ -307,24 +270,6 @@ impl RunStats {
         self.cycle_causes.iter().sum()
     }
 
-    /// Per-cause `(cause, cycles, share-of-time)` rows in priority order —
-    /// the Figure-5-style stall breakdown.
-    pub fn cause_breakdown(&self) -> Vec<(CycleCause, u64, f64)> {
-        let denom = self.time_denominator();
-        CycleCause::ALL
-            .iter()
-            .map(|&c| {
-                let n = self.cause(c);
-                let share = if denom == 0 {
-                    0.0
-                } else {
-                    n as f64 / denom as f64
-                };
-                (c, n, share)
-            })
-            .collect()
-    }
-
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -333,6 +278,94 @@ impl RunStats {
             self.instructions as f64 / self.cycles as f64
         }
     }
+}
+
+/// Flattens `RunStats` into its 44 fixed-order integer fields, plus the
+/// variable-length per-channel busy-cycle vector. `RunStats` is all-integer
+/// by construction, so this codec is exact: `units_to_stats(stats_to_units)`
+/// is the identity, which is what makes resumed sweeps (and memoized
+/// service results) byte-identical.
+pub fn stats_to_units(s: &RunStats) -> (Vec<u64>, Vec<u64>) {
+    let mut u = Vec::with_capacity(44);
+    u.push(s.cycles);
+    u.push(s.sm_cycles_total);
+    u.push(s.instructions);
+    u.extend_from_slice(&s.issued_by_unit);
+    u.push(s.exposed_load_stalls());
+    u.push(s.exposed_load_stalls_divergent);
+    u.push(s.exposed_traversal_stalls());
+    u.push(s.exposed_fetch_stalls());
+    u.push(s.idle_cycles);
+    u.extend_from_slice(&s.cycle_causes);
+    u.push(s.subwarp_stalls);
+    u.push(s.subwarp_switches);
+    u.push(s.subwarp_yields);
+    u.push(s.divergences);
+    u.push(s.reconvergences);
+    u.push(s.l0i.hits);
+    u.push(s.l0i.misses);
+    u.push(s.l1i.hits);
+    u.push(s.l1i.misses);
+    u.push(s.l1d.hits);
+    u.push(s.l1d.misses);
+    u.push(s.rt_traversals);
+    u.push(s.peak_resident_warps as u64);
+    u.push(s.mem.l2.hits);
+    u.push(s.mem.l2.misses);
+    u.push(s.mem.mshr_merges);
+    u.push(s.mem.mshr_high_water as u64);
+    u.push(s.mem.row_hits);
+    u.push(s.mem.row_misses);
+    u.push(s.mem.fills);
+    u.push(s.mem.total_fill_latency);
+    u.push(s.mem.requests);
+    debug_assert_eq!(u.len(), 44);
+    (u, s.mem.channel_busy_cycles.clone())
+}
+
+/// Inverse of [`stats_to_units`]. Returns `None` when the fixed-field
+/// vector has the wrong arity (a torn or foreign journal line), or when
+/// its stored `exposed_*` load/traversal/fetch fields (9, 11, 12) disagree
+/// with the cycle causes they are derived from (15, 16, 17) — the codec
+/// only accepts what [`stats_to_units`] can write.
+pub fn units_to_stats(u: &[u64], ch: &[u64]) -> Option<RunStats> {
+    if u.len() != 44 || (u[9], u[11], u[12]) != (u[15], u[16], u[17]) {
+        return None;
+    }
+    let mut s = RunStats {
+        cycles: u[0],
+        sm_cycles_total: u[1],
+        instructions: u[2],
+        exposed_load_stalls_divergent: u[10],
+        idle_cycles: u[13],
+        subwarp_stalls: u[22],
+        subwarp_switches: u[23],
+        subwarp_yields: u[24],
+        divergences: u[25],
+        reconvergences: u[26],
+        rt_traversals: u[33],
+        peak_resident_warps: u[34] as usize,
+        ..RunStats::default()
+    };
+    s.issued_by_unit.copy_from_slice(&u[3..9]);
+    s.cycle_causes.copy_from_slice(&u[14..22]);
+    s.l0i.hits = u[27];
+    s.l0i.misses = u[28];
+    s.l1i.hits = u[29];
+    s.l1i.misses = u[30];
+    s.l1d.hits = u[31];
+    s.l1d.misses = u[32];
+    s.mem.l2.hits = u[35];
+    s.mem.l2.misses = u[36];
+    s.mem.mshr_merges = u[37];
+    s.mem.mshr_high_water = u[38] as usize;
+    s.mem.row_hits = u[39];
+    s.mem.row_misses = u[40];
+    s.mem.fills = u[41];
+    s.mem.total_fill_latency = u[42];
+    s.mem.requests = u[43];
+    s.mem.channel_busy_cycles = ch.to_vec();
+    Some(s)
 }
 
 #[cfg(test)]

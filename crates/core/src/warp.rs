@@ -8,6 +8,7 @@ use crate::workload::Workload;
 use subwarp_isa::{
     Effect, Instruction, Op, Program, Reg, RegFile, SbMask, Scoreboard, N_BARRIER, N_PRED, N_SB,
 };
+use subwarp_prng::splitmix64;
 
 /// Sentinel "not ready until writeback" value for long-latency destinations.
 const NEVER: u64 = u64::MAX;
@@ -482,18 +483,6 @@ impl WarpSim {
     }
 
     // ---- scoreboards ----
-
-    /// Maximum counter value over `lanes_mask` for every scoreboard in `sbs`.
-    pub fn sb_max(&self, lanes_mask: u32, sbs: SbMask) -> u16 {
-        let mut max = 0;
-        for sb in sbs.iter() {
-            let row = &self.sb_cnt[sb.0 as usize];
-            for lane in lanes(lanes_mask) {
-                max = max.max(row[lane]);
-            }
-        }
-        max
-    }
 
     /// Increments `sb` for each lane in `mask` (operation issued).
     pub fn sb_inc(&mut self, mask: u32, sb: Scoreboard, producer: SbProducer) {
@@ -1134,7 +1123,7 @@ impl WarpSim {
                         DivergeOrder::FallthroughFirst => false,
                         DivergeOrder::TakenFirst => true,
                         DivergeOrder::Random => {
-                            self.rng = splitmix64(self.rng);
+                            self.rng = splitmix64(&mut { self.rng });
                             self.rng & 1 == 1
                         }
                         // §VI future work: run the stall-prone side first so
@@ -1148,7 +1137,7 @@ impl WarpSim {
                             Some(subwarp_isa::StallHint::TakenStalls) => true,
                             Some(subwarp_isa::StallHint::FallthroughStalls) => false,
                             None => {
-                                self.rng = splitmix64(self.rng);
+                                self.rng = splitmix64(&mut { self.rng });
                                 self.rng & 1 == 1
                             }
                         },
@@ -1385,13 +1374,6 @@ impl WarpSim {
             }
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

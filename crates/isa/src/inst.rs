@@ -75,13 +75,6 @@ impl Instruction {
         self.req_sb.insert(sb);
         self
     }
-
-    /// Attaches a stall-probability hint (meaningful on branches) and
-    /// returns `self`.
-    pub fn with_hint(mut self, hint: StallHint) -> Instruction {
-        self.hint = Some(hint);
-        self
-    }
 }
 
 impl From<Op> for Instruction {

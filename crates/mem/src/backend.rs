@@ -21,6 +21,7 @@
 
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats};
 use std::sync::{Arc, Mutex};
+use subwarp_prng::splitmix64;
 
 /// Timing model for memory traffic that misses the SM-local L1.
 ///
@@ -636,15 +637,6 @@ pub struct FaultyBackend {
     delayed: u64,
 }
 
-/// The same dependency-free splitmix64 mixer used elsewhere in this crate's
-/// deterministic address hashing.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl FaultyBackend {
     /// Wraps `inner` with the given fault rates.
     ///
@@ -674,7 +666,7 @@ impl FaultyBackend {
     }
 
     fn draw(&self, line: u64) -> u64 {
-        mix64(self.cfg.seed ^ mix64(self.fills_seen) ^ line) % 1000
+        splitmix64(&mut (self.cfg.seed ^ splitmix64(&mut { self.fills_seen }) ^ line)) % 1000
     }
 }
 

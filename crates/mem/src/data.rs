@@ -14,6 +14,8 @@
 //! word-granular overlay: a word reads as its last stored value if the
 //! write bit is set, else as `splitmix64(word ^ seed)`.
 
+use subwarp_prng::splitmix64;
+
 /// Words per overlay page (so a page covers 4 KiB of address space).
 const PAGE_WORDS: usize = 512;
 const PAGE_SHIFT: u32 = 9;
@@ -81,7 +83,7 @@ impl DataMemory {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut i = splitmix64(page_no) as usize & mask;
+        let mut i = splitmix64(&mut { page_no }) as usize & mask;
         loop {
             match &self.slots[i] {
                 Some(p) if p.page_no == page_no => return Some(p),
@@ -96,7 +98,7 @@ impl DataMemory {
             self.grow();
         }
         let mask = self.slots.len() - 1;
-        let mut i = splitmix64(page_no) as usize & mask;
+        let mut i = splitmix64(&mut { page_no }) as usize & mask;
         loop {
             match &self.slots[i] {
                 Some(p) if p.page_no == page_no => break,
@@ -116,7 +118,7 @@ impl DataMemory {
         let old = std::mem::replace(&mut self.slots, vec![None; cap]);
         let mask = cap - 1;
         for page in old.into_iter().flatten() {
-            let mut i = splitmix64(page.page_no) as usize & mask;
+            let mut i = splitmix64(&mut { page.page_no }) as usize & mask;
             while self.slots[i].is_some() {
                 i = (i + 1) & mask;
             }
@@ -131,7 +133,7 @@ impl DataMemory {
         let idx = (w & (PAGE_WORDS as u64 - 1)) as usize;
         match self.find(w >> PAGE_SHIFT) {
             Some(p) if p.is_written(idx) => p.values[idx],
-            _ => splitmix64(w ^ self.seed),
+            _ => splitmix64(&mut (w ^ self.seed)),
         }
     }
 
@@ -197,14 +199,6 @@ impl PartialEq for DataMemory {
         });
         equal
     }
-}
-
-/// SplitMix64 — a tiny, high-quality 64-bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

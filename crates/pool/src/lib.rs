@@ -7,8 +7,9 @@
 //! cartesian grids of completely independent `Simulator::run` calls. This
 //! crate fans such a grid out across OS threads with three guarantees:
 //!
-//! 1. **No dependencies.** Built on [`std::thread`] only, so the workspace
-//!    stays offline. The plain [`run`]/[`run_with_jobs`] entry points use
+//! 1. **No external dependencies.** Built on [`std::thread`] (and the
+//!    workspace's std-only `subwarp-prng` mixer for backoff jitter), so the
+//!    workspace stays offline. [`run_with_jobs`] uses
 //!    [`std::thread::scope`], so borrowed (non-`'static`) job closures work.
 //! 2. **Deterministic results.** Jobs are identified by index `0..n_jobs`
 //!    and results are returned ordered by that index, regardless of which
@@ -24,7 +25,7 @@
 //! serial path, useful for determinism A/B checks).
 //!
 //! ```
-//! let squares = subwarp_pool::run(8, |i| i * i);
+//! let squares = subwarp_pool::run_with_jobs(4, 8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 //!
@@ -33,8 +34,8 @@
 //! Long sweeps want to *survive* individual-cell failures instead of dying
 //! with them: [`run_supervised`] wraps every job in
 //! [`std::panic::catch_unwind`], enforces an optional per-job soft deadline
-//! via a supervisor watchdog, retries transient failures with capped
-//! exponential backoff, and returns index-ordered
+//! via a supervisor watchdog, retries failures with capped exponential
+//! backoff while attempts remain, and returns index-ordered
 //! `Vec<Result<T, JobError<E>>>` — one labeled outcome per job, never a
 //! cross-job abort. The determinism guarantee is unchanged: `Ok` payloads
 //! and fault-injected `Err` patterns are identical for serial and parallel
@@ -45,7 +46,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// The worker count [`run`] uses: the `SUBWARP_JOBS` environment variable
+use subwarp_prng::splitmix64;
+
+/// The default worker count: the `SUBWARP_JOBS` environment variable
 /// when set to a positive integer, otherwise the host's available
 /// parallelism (1 if that cannot be determined).
 ///
@@ -87,19 +90,6 @@ pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Runs jobs `0..n_jobs` on the default worker count (see
-/// [`default_jobs`]) and returns their results ordered by job index.
-///
-/// Panics in a job propagate to the caller once every worker has stopped,
-/// preserving the first panic's payload.
-pub fn run<T, F>(n_jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_with_jobs(default_jobs(), n_jobs, f)
 }
 
 /// Runs jobs `0..n_jobs` on exactly `workers` threads (clamped to
@@ -169,16 +159,6 @@ where
     done.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Maps `f` over `items` in parallel, preserving input order.
-pub fn map<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    run(items.len(), |i| f(&items[i]))
-}
-
 // ---------------------------------------------------- supervised execution
 
 /// Why one supervised job failed.
@@ -197,10 +177,8 @@ pub enum JobCause<E> {
         /// The deadline that elapsed.
         deadline: Duration,
     },
-    /// The job was never run: the supervisor cancelled remaining work after
-    /// an earlier failure ([`Supervisor::cancel_on_first_error`]) or an
-    /// external [`Supervisor::cancel`] flag was raised (e.g. a server
-    /// drain).
+    /// The job was never run: an external [`Supervisor::cancel`] flag was
+    /// raised (e.g. a server drain).
     Cancelled,
 }
 
@@ -289,15 +267,13 @@ impl Backoff {
     /// `(jitter_seed, index, attempt)`.
     pub fn delay(&self, index: usize, attempt: u32) -> Duration {
         let capped = self.cap(attempt);
-        // splitmix64 finalizer over the (seed, index, attempt) triple.
-        let mut z = self
-            .jitter_seed
-            .wrapping_add(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add((index as u64) << 32)
-            .wrapping_add(attempt as u64);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        // One splitmix64 draw over the (seed, index, attempt) triple.
+        let z = splitmix64(
+            &mut self
+                .jitter_seed
+                .wrapping_add((index as u64) << 32)
+                .wrapping_add(attempt as u64),
+        );
         // Map to [0.5, 1.0): half the cap guarantees progress, the spread
         // de-synchronizes the herd.
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
@@ -314,27 +290,12 @@ pub struct Supervisor {
     /// [`JobCause::Timeout`] and a replacement worker is spawned; `None`
     /// disables the watchdog.
     pub deadline: Option<Duration>,
-    /// Maximum attempts per job (≥ 1). Attempts beyond the first happen
-    /// only for causes enabled by [`retry_panics`](Self::retry_panics) /
-    /// [`retry_errors`](Self::retry_errors).
+    /// Maximum attempts per job (≥ 1). A job that panics or returns `Err`
+    /// is retried while attempts remain.
     pub max_attempts: u32,
-    /// First retry backoff; doubles per attempt.
-    pub base_backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
-    /// Retry jobs that panicked.
-    pub retry_panics: bool,
-    /// Retry jobs that returned `Err`.
-    pub retry_errors: bool,
-    /// After the first failed job, stop claiming new jobs: every job not
-    /// yet started completes as [`JobCause::Cancelled`]. Jobs already
-    /// running finish normally.
-    pub cancel_on_first_error: bool,
-    /// Seed for the deterministic per-(job, attempt) jitter applied to
-    /// retry backoff, spreading simultaneous retries so they don't
-    /// stampede in lockstep. The jitter only scales the *sleep* — never
-    /// job results — so serial/parallel determinism is unaffected.
-    pub jitter_seed: u64,
+    /// The sleep before each retry. Its jitter only scales the *sleep* —
+    /// never job results — so serial/parallel determinism is unaffected.
+    pub backoff: Backoff,
     /// External cancellation hook: when the flag is raised (e.g. by a
     /// draining server), jobs not yet started complete as
     /// [`JobCause::Cancelled`] and failed jobs stop retrying; jobs already
@@ -348,12 +309,7 @@ impl Default for Supervisor {
             workers: default_jobs(),
             deadline: None,
             max_attempts: 1,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(1),
-            retry_panics: false,
-            retry_errors: false,
-            cancel_on_first_error: false,
-            jitter_seed: 0,
+            backoff: Backoff::default(),
             cancel: None,
         }
     }
@@ -367,36 +323,11 @@ impl Supervisor {
             ..Supervisor::default()
         }
     }
-
-    /// The retry schedule as a standalone [`Backoff`] (same base, cap, and
-    /// jitter seed).
-    pub fn retry_backoff(&self) -> Backoff {
-        Backoff {
-            base: self.base_backoff,
-            max: self.max_backoff,
-            jitter_seed: self.jitter_seed,
-        }
-    }
-
-    /// The backoff [`run_supervised`] actually sleeps before retry
-    /// `attempt` of job `index`: [`Backoff::delay`] over the supervisor's
-    /// schedule.
-    ///
-    /// When a whole batch fails at once (a flaky shared resource), the
-    /// un-jittered schedule wakes every worker in lockstep; the
-    /// per-job jitter spreads those wakeups while remaining a pure
-    /// function of the supervisor configuration, so any two runs — serial
-    /// or parallel — sleep identical amounts for identical (job, attempt)
-    /// pairs.
-    pub fn backoff_for(&self, index: usize, attempt: u32) -> Duration {
-        self.retry_backoff().delay(index, attempt)
-    }
 }
 
 /// Per-batch state shared between workers and the supervisor.
 struct Shared {
     next: AtomicUsize,
-    cancelled: AtomicBool,
     /// Microseconds-since-epoch (+1, so 0 means "not running") of the
     /// attempt currently executing each job.
     running_since: Vec<AtomicU64>,
@@ -426,7 +357,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Each job `f(index, attempt)` (attempts are 1-based) is wrapped in
 /// [`catch_unwind`]; panics become [`JobCause::Panic`] with the original
 /// payload preserved. Failures retry up to [`Supervisor::max_attempts`]
-/// with capped exponential backoff when the cause is enabled for retry. An
+/// with the supervisor's [`Backoff`] between attempts. An
 /// optional per-job soft [`Supervisor::deadline`] is enforced by the
 /// supervising (calling) thread: an overdue job is abandoned as
 /// [`JobCause::Timeout`], a replacement worker is spawned so remaining jobs
@@ -453,7 +384,6 @@ where
     let epoch = Instant::now();
     let shared = Arc::new(Shared {
         next: AtomicUsize::new(0),
-        cancelled: AtomicBool::new(false),
         running_since: (0..n).map(|_| AtomicU64::new(0)).collect(),
         attempt_of: (0..n).map(|_| AtomicU32::new(0)).collect(),
     });
@@ -478,7 +408,7 @@ where
                         .as_ref()
                         .is_some_and(|c| c.load(Ordering::SeqCst))
                 };
-                if shared.cancelled.load(Ordering::SeqCst) || externally_cancelled() {
+                if externally_cancelled() {
                     let _ = tx.send(DoneMsg {
                         index: i,
                         attempts: 0,
@@ -498,26 +428,15 @@ where
                         Ok(Err(e)) => JobCause::Err(e),
                         Err(payload) => JobCause::Panic(panic_message(payload)),
                     };
-                    let retryable = match &cause {
-                        JobCause::Panic(_) => sup.retry_panics,
-                        JobCause::Err(_) => sup.retry_errors,
-                        _ => false,
-                    };
                     // A drain in progress turns remaining retries into a final
                     // verdict: report the real failure now rather than sleeping
                     // through the shutdown window.
-                    if attempt >= sup.max_attempts || !retryable || externally_cancelled() {
+                    if attempt >= sup.max_attempts || externally_cancelled() {
                         break Err(cause);
                     }
                     attempt += 1;
-                    std::thread::sleep(sup.backoff_for(i, attempt));
+                    std::thread::sleep(sup.backoff.delay(i, attempt));
                 };
-                // Flag cancellation here (not in the supervisor loop) so that
-                // with one worker the claim order sees it immediately and the
-                // serial Cancelled pattern is deterministic.
-                if outcome.is_err() && sup.cancel_on_first_error {
-                    shared.cancelled.store(true, Ordering::SeqCst);
-                }
                 let _ = tx.send(DoneMsg {
                     index: i,
                     attempts: attempt,
@@ -549,21 +468,12 @@ where
         }) = msg
         {
             if out[index].is_none() {
-                let entry = outcome.map_err(|cause| JobError {
+                out[index] = Some(outcome.map_err(|cause| JobError {
                     index,
                     label: labels[index].clone(),
                     attempts,
                     cause,
-                });
-                if sup.cancel_on_first_error
-                    && matches!(
-                        &entry,
-                        Err(e) if !matches!(e.cause, JobCause::Cancelled)
-                    )
-                {
-                    shared.cancelled.store(true, Ordering::SeqCst);
-                }
-                out[index] = Some(entry);
+                }));
                 completed += 1;
             }
             // A late result from an abandoned (timed-out) job is discarded:
@@ -587,9 +497,6 @@ where
                         cause: JobCause::Timeout { deadline },
                     }));
                     completed += 1;
-                    if sup.cancel_on_first_error {
-                        shared.cancelled.store(true, Ordering::SeqCst);
-                    }
                     // The stuck worker's thread is occupied indefinitely;
                     // restore pool capacity so the rest of the batch runs.
                     handles.push(spawn_worker(&shared, &tx));
@@ -658,8 +565,8 @@ mod tests {
 
     #[test]
     fn borrows_non_static_data() {
-        let data = vec![10u64, 20, 30];
-        let out = map(&data, |x| x + 1);
+        let data = [10u64, 20, 30];
+        let out = run_with_jobs(2, data.len(), |i| data[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);
     }
 
@@ -791,8 +698,10 @@ mod tests {
         let sup = Supervisor {
             workers: 2,
             max_attempts: 3,
-            retry_errors: true,
-            base_backoff: Duration::from_millis(1),
+            backoff: Backoff {
+                base: Duration::from_millis(1),
+                ..Backoff::default()
+            },
             ..Supervisor::default()
         };
         let out = run_supervised(&sup, &labels(1), move |_, attempt| {
@@ -812,8 +721,10 @@ mod tests {
         let sup = Supervisor {
             workers: 1,
             max_attempts: 3,
-            retry_panics: true,
-            base_backoff: Duration::from_millis(1),
+            backoff: Backoff {
+                base: Duration::from_millis(1),
+                ..Backoff::default()
+            },
             ..Supervisor::default()
         };
         let out = run_supervised::<usize, (), _>(&sup, &labels(1), |_, _| panic!("always"));
@@ -916,53 +827,23 @@ mod tests {
     }
 
     #[test]
-    fn supervised_cancel_on_first_error_marks_rest_cancelled() {
-        let sup = Supervisor {
-            workers: 1,
-            cancel_on_first_error: true,
-            ..Supervisor::default()
-        };
-        let out = run_supervised::<usize, String, _>(&sup, &labels(6), |i, _| {
-            if i == 1 {
-                Err("fatal".into())
-            } else {
-                Ok(i)
-            }
-        });
-        assert!(out[0].is_ok());
-        assert!(matches!(
-            out[1].as_ref().unwrap_err().cause,
-            JobCause::Err(_)
-        ));
-        // With one worker, claims are in index order: everything after the
-        // failing job is cancelled without running.
-        for r in &out[2..] {
-            assert!(
-                matches!(r.as_ref().unwrap_err().cause, JobCause::Cancelled),
-                "{r:?}"
-            );
-        }
-    }
-
-    #[test]
     fn backoff_jitter_is_deterministic_bounded_and_spread() {
-        let sup = Supervisor {
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(1),
+        let backoff = Backoff {
+            base: Duration::from_millis(10),
+            max: Duration::from_secs(1),
             jitter_seed: 0xA5A5,
-            ..Supervisor::default()
         };
         let mut seen = Vec::new();
         for index in 0..16 {
             for attempt in 2..=8 {
-                let d = sup.backoff_for(index, attempt);
-                let cap = sup.retry_backoff().cap(attempt);
+                let d = backoff.delay(index, attempt);
+                let cap = backoff.cap(attempt);
                 // Jitter scales within [0.5, 1.0) of the capped schedule:
                 // the cap stays strict, progress is guaranteed.
                 assert!(d <= cap, "jitter must never exceed the cap");
                 assert!(d >= cap.mul_f64(0.5), "jitter floor is half the cap");
                 // Pure function of (seed, index, attempt).
-                assert_eq!(d, sup.backoff_for(index, attempt));
+                assert_eq!(d, backoff.delay(index, attempt));
                 seen.push(d);
             }
         }
@@ -971,11 +852,11 @@ mod tests {
         seen.dedup();
         assert!(seen.len() > 16, "jitter must de-synchronize the herd");
         // A different seed yields a different schedule.
-        let other = Supervisor {
+        let other = Backoff {
             jitter_seed: 0x5A5A,
-            ..sup.clone()
+            ..backoff.clone()
         };
-        assert_ne!(sup.backoff_for(3, 2), other.backoff_for(3, 2));
+        assert_ne!(backoff.delay(3, 2), other.delay(3, 2));
     }
 
     #[test]

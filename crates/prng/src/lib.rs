@@ -69,12 +69,6 @@ impl SmallRng {
         result
     }
 
-    /// The next 32 random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f32` in `[0, 1)`.
     #[inline]
     pub fn next_f32(&mut self) -> f32 {

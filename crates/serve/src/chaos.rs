@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use subwarp_prng::splitmix64;
+
 use crate::listen::{accept_loop, Conns};
 
 /// What the proxy does to one connection.
@@ -89,15 +91,13 @@ impl ChaosPlan {
                 return ConnFate::Clean;
             }
         }
-        // splitmix64 finalizer; independent 10-bit slices per fate so
+        // One splitmix64 draw; independent 10-bit slices per fate so
         // changing one rate does not reshuffle the others' draws.
-        let mut z = self
-            .seed
-            .wrapping_add(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(conn.wrapping_mul(0xd134_2543_de82_ef95));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let z = splitmix64(
+            &mut self
+                .seed
+                .wrapping_add(conn.wrapping_mul(0xd134_2543_de82_ef95)),
+        );
         let draw = |shift: u32| ((z >> shift) & 0x3ff) % 1000;
         if draw(0) < self.refuse_per_mille as u64 {
             ConnFate::Refuse

@@ -53,13 +53,6 @@ impl Client {
         })
     }
 
-    /// Changes the read/write deadlines on the live connection (e.g. a
-    /// generous window for a `run` that simulates, a tight one for `ping`).
-    pub fn set_io_timeout(&self, io_timeout: Option<Duration>) -> std::io::Result<()> {
-        self.writer.set_read_timeout(io_timeout)?;
-        self.writer.set_write_timeout(io_timeout)
-    }
-
     /// Sends one request line and returns the raw reply line. Blocks until
     /// the daemon answers (for `run`, until the job reaches a definite
     /// state) or a configured deadline fires.

@@ -23,7 +23,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use subwarp_core::{FaultPlan, RunStats, SimError, Simulator};
-use subwarp_pool::{JobCause, Supervisor};
+use subwarp_pool::{Backoff, JobCause, Supervisor};
 
 use crate::spec::JobSpec;
 use crate::store::MemoStore;
@@ -419,11 +419,11 @@ fn dispatch_loop(inner: &Arc<Inner>) {
             workers: inner.cfg.workers.max(1),
             deadline: inner.cfg.deadline,
             max_attempts: inner.cfg.max_attempts.max(1),
-            retry_panics: inner.cfg.max_attempts > 1,
-            retry_errors: inner.cfg.max_attempts > 1,
-            jitter_seed: inner.cfg.jitter_seed,
+            backoff: Backoff {
+                jitter_seed: inner.cfg.jitter_seed,
+                ..Backoff::default()
+            },
             cancel: Some(Arc::clone(&inner.cancel)),
-            ..Supervisor::default()
         };
         let specs = Arc::new(batch);
         let run_specs = Arc::clone(&specs);

@@ -27,7 +27,11 @@
 //!
 //! Two different requests that resolve to the same workload + configuration
 //! produce the same [`cell_fingerprint`], which is what lets the memo store
-//! and in-flight coalescing collapse duplicate work.
+//! and in-flight coalescing collapse duplicate work. The workload half of
+//! that key is [`workload_hash`], the fingerprint of the canonical `.swt`
+//! encoding, whatever key named the workload: `file:tests/corpus/av1.swt`
+//! and `trace:AV1` resolve to one workload identity (their labels, and so
+//! their cell fingerprints, still differ).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -72,42 +76,47 @@ const MICRO_ITERATIONS: &str = "16";
 
 /// Resolves a workload key (`toy`, `micro:SIZE[@ITERS]`, `trace:NAME`, or
 /// `file:PATH` naming a serialized `subwarp-trace` file) to a shared
-/// workload and its content hash. For `file:` keys the hash is
-/// [`subwarp_trace::trace_fingerprint`] over the file's bytes.
+/// workload and its [`workload_hash`] key. A canonical trace file keys the
+/// same as the workload it was recorded from.
 pub fn resolve_workload(key: &str) -> Result<(Arc<Workload>, u64), String> {
-    if let Some(path) = key.strip_prefix("file:") {
-        // File-backed workloads are keyed by trace *content*, not path:
-        // the fingerprint folds in the format version and every byte, so
-        // an edited file is a new identity (the memo store stays sound)
-        // while a re-request of unchanged bytes shares the decoded build.
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("cannot read trace file `{path}`: {e}"))?;
-        let hash = subwarp_trace::trace_fingerprint(&bytes);
-        let cache_key = format!("file-fp:{hash:#018x}");
-        if let Some(hit) = workload_cache()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&cache_key)
-        {
-            return Ok(hit.clone());
+    // A file's build is cached by its content, not its path: an edited
+    // file is a new build (and, through `workload_hash`, a new identity, so
+    // the memo store stays sound), while a re-request of unchanged bytes
+    // shares the decoded build.
+    let (cache_key, file) = match key.strip_prefix("file:") {
+        Some(path) => {
+            let bytes =
+                std::fs::read(path).map_err(|e| format!("cannot read trace file `{path}`: {e}"))?;
+            let fp = subwarp_trace::trace_fingerprint(&bytes);
+            (format!("file-fp:{fp:#018x}"), Some(bytes))
         }
-        let wl = Arc::new(subwarp_trace::decode_workload(&bytes).map_err(|e| e.to_string())?);
-        workload_cache()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(cache_key, (Arc::clone(&wl), hash));
-        return Ok((wl, hash));
-    }
+        None => (key.to_owned(), None),
+    };
     if let Some(hit) = workload_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .get(key)
+        .get(&cache_key)
     {
         return Ok(hit.clone());
     }
-    let wl: Arc<Workload> = if key == "toy" {
-        Arc::new(figure9_workload())
-    } else if let Some(rest) = key.strip_prefix("micro:") {
+    let wl = Arc::new(match file {
+        Some(bytes) => subwarp_trace::decode_workload(&bytes).map_err(|e| e.to_string())?,
+        None => build_workload(key)?,
+    });
+    let hash = workload_hash(&wl);
+    workload_cache()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(cache_key, (Arc::clone(&wl), hash));
+    Ok((wl, hash))
+}
+
+/// Builds a workload named by a `toy`, `micro:` or `trace:` key.
+fn build_workload(key: &str) -> Result<Workload, String> {
+    if key == "toy" {
+        return Ok(figure9_workload());
+    }
+    if let Some(rest) = key.strip_prefix("micro:") {
         let (size, iters) = match rest.split_once('@') {
             Some((s, i)) => (s, i),
             None => (rest, MICRO_ITERATIONS),
@@ -128,27 +137,20 @@ pub fn resolve_workload(key: &str) -> Result<(Arc<Workload>, u64), String> {
                 "micro iterations must be in 1..=64, got {iterations}"
             ));
         }
-        Arc::new(microbenchmark_with(MicroConfig {
+        return Ok(microbenchmark_with(MicroConfig {
             subwarp_size,
             iterations,
             ..MicroConfig::default()
-        }))
-    } else if let Some(name) = key.strip_prefix("trace:") {
-        match trace_by_name(name) {
-            Some(t) => Arc::new(t.build()),
-            None => return Err(format!("unknown trace `{name}`")),
-        }
-    } else {
-        return Err(format!(
-            "unknown workload `{key}` (expected toy, micro:SIZE, trace:NAME, or file:PATH)"
-        ));
-    };
-    let hash = workload_hash(&wl);
-    workload_cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(key.to_owned(), (Arc::clone(&wl), hash));
-    Ok((wl, hash))
+        }));
+    }
+    if let Some(name) = key.strip_prefix("trace:") {
+        return trace_by_name(name)
+            .map(|t| t.build())
+            .ok_or_else(|| format!("unknown trace `{name}`"));
+    }
+    Err(format!(
+        "unknown workload `{key}` (expected toy, micro:SIZE, trace:NAME, or file:PATH)"
+    ))
 }
 
 fn parse_order(s: &str) -> Result<DivergeOrder, String> {

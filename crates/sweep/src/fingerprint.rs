@@ -1,42 +1,43 @@
 //! Content fingerprints for sweep cells and simulation jobs.
 //!
-//! A fingerprint is an FNV-1a hash chained over the workload's `Debug`
-//! form, both configuration `Debug` forms, and the cell label. Any change
-//! to the workload, the configuration, or the naming produces a new
-//! fingerprint, so journals and memo stores can never resurrect stale
-//! results.
+//! A cell's fingerprint is FNV-1a chained over three parts:
+//! - the workload's key, [`workload_hash`]: the trace fingerprint of its
+//!   canonical `.swt` encoding, so a built `trace:AV1` and the file
+//!   `tests/corpus/av1.swt` recorded from it are one identity;
+//! - the cell label;
+//! - the `Debug` forms of both configurations, with the run knobs that
+//!   cannot change a result (`invariants`, `fast_forward`,
+//!   `profile_phases`) reset to their `turing_like()` values first.
+//!
+//! Any change to the workload, a simulated configuration field, or the
+//! naming produces a new fingerprint, so journals and memo stores can never
+//! resurrect stale results; checking invariants, stepping cycle by cycle or
+//! timing phases reuses the stored one. The label stays in the key so a
+//! journal line always names the cell that produced it. The configurations
+//! stay keyed by `Debug` text rather than a versioned encoding; the golden
+//! fingerprints pinned in the tests make any drift a reviewed change.
 
-use subwarp_core::{SiConfig, SmConfig, Workload};
+use subwarp_core::{fnv1a, SiConfig, SmConfig, Workload};
+use subwarp_trace::{encode_workload, trace_fingerprint};
 
-/// FNV-1a over `bytes`, chained from `seed` (`0` selects the standard
-/// offset basis).
-pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = if seed == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        seed
-    };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Content fingerprint of one sweep cell: the workload and both configs in
-/// their `Debug` forms, chained through FNV-1a with the cell label. Any
-/// change to the workload, the configuration, or the naming produces a new
-/// fingerprint, so journals can never resurrect stale results.
+/// Content fingerprint of one sweep cell (see the module docs).
 pub fn cell_fingerprint(label: &str, workload_hash: u64, sm: &SmConfig, si: &SiConfig) -> u64 {
+    let d = SmConfig::turing_like();
+    let sm = SmConfig {
+        invariants: d.invariants,
+        fast_forward: d.fast_forward,
+        profile_phases: d.profile_phases,
+        ..sm.clone()
+    };
     let mut h = fnv1a(workload_hash, label.as_bytes());
     h = fnv1a(h, format!("{sm:?}").as_bytes());
     h = fnv1a(h, format!("{si:?}").as_bytes());
     h
 }
 
-/// FNV-1a hash of a workload's `Debug` form — precomputed once per sweep
-/// row (or once per cached service workload) so per-cell fingerprinting
-/// does not re-render large workloads.
+/// A workload's key: [`trace_fingerprint`] over [`encode_workload`], the
+/// value `file:` keys of canonical trace files carry too. Precomputed once
+/// per sweep row (or once per cached service workload).
 pub fn workload_hash(wl: &Workload) -> u64 {
-    fnv1a(0, format!("{wl:?}").as_bytes())
+    trace_fingerprint(&encode_workload(wl))
 }

@@ -1,5 +1,5 @@
-//! The JSONL checkpoint journal, its exclusive lock, and the exact
-//! all-integer `RunStats` codec it is built on.
+//! The JSONL checkpoint journal and its exclusive lock, over the exact
+//! all-integer `RunStats` codec of `subwarp-core`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -7,99 +7,9 @@ use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use subwarp_core::RunStats;
+use subwarp_core::{stats_to_units, units_to_stats, RunStats};
 
 use crate::json::{append_line, create_parent_dir, json_escape, open_jsonl, Value};
-
-// ----------------------------------------------------------- stats codec
-
-/// Flattens `RunStats` into its 44 fixed-order integer fields, plus the
-/// variable-length per-channel busy-cycle vector. `RunStats` is all-integer
-/// by construction, so this codec is exact: `units_to_stats(stats_to_units)`
-/// is the identity, which is what makes resumed sweeps (and memoized
-/// service results) byte-identical.
-pub fn stats_to_units(s: &RunStats) -> (Vec<u64>, Vec<u64>) {
-    let mut u = Vec::with_capacity(44);
-    u.push(s.cycles);
-    u.push(s.sm_cycles_total);
-    u.push(s.instructions);
-    u.extend_from_slice(&s.issued_by_unit);
-    u.push(s.exposed_load_stalls());
-    u.push(s.exposed_load_stalls_divergent);
-    u.push(s.exposed_traversal_stalls());
-    u.push(s.exposed_fetch_stalls());
-    u.push(s.idle_cycles);
-    u.extend_from_slice(&s.cycle_causes);
-    u.push(s.subwarp_stalls);
-    u.push(s.subwarp_switches);
-    u.push(s.subwarp_yields);
-    u.push(s.divergences);
-    u.push(s.reconvergences);
-    u.push(s.l0i.hits);
-    u.push(s.l0i.misses);
-    u.push(s.l1i.hits);
-    u.push(s.l1i.misses);
-    u.push(s.l1d.hits);
-    u.push(s.l1d.misses);
-    u.push(s.rt_traversals);
-    u.push(s.peak_resident_warps as u64);
-    u.push(s.mem.l2.hits);
-    u.push(s.mem.l2.misses);
-    u.push(s.mem.mshr_merges);
-    u.push(s.mem.mshr_high_water as u64);
-    u.push(s.mem.row_hits);
-    u.push(s.mem.row_misses);
-    u.push(s.mem.fills);
-    u.push(s.mem.total_fill_latency);
-    u.push(s.mem.requests);
-    debug_assert_eq!(u.len(), 44);
-    (u, s.mem.channel_busy_cycles.clone())
-}
-
-/// Inverse of [`stats_to_units`]. Returns `None` when the fixed-field
-/// vector has the wrong arity (a torn or foreign journal line), or when
-/// its stored `exposed_*` load/traversal/fetch fields (9, 11, 12) disagree
-/// with the cycle causes they are derived from (15, 16, 17) — the codec
-/// only accepts what [`stats_to_units`] can write.
-pub fn units_to_stats(u: &[u64], ch: &[u64]) -> Option<RunStats> {
-    if u.len() != 44 || (u[9], u[11], u[12]) != (u[15], u[16], u[17]) {
-        return None;
-    }
-    let mut s = RunStats {
-        cycles: u[0],
-        sm_cycles_total: u[1],
-        instructions: u[2],
-        exposed_load_stalls_divergent: u[10],
-        idle_cycles: u[13],
-        subwarp_stalls: u[22],
-        subwarp_switches: u[23],
-        subwarp_yields: u[24],
-        divergences: u[25],
-        reconvergences: u[26],
-        rt_traversals: u[33],
-        peak_resident_warps: u[34] as usize,
-        ..RunStats::default()
-    };
-    s.issued_by_unit.copy_from_slice(&u[3..9]);
-    s.cycle_causes.copy_from_slice(&u[14..22]);
-    s.l0i.hits = u[27];
-    s.l0i.misses = u[28];
-    s.l1i.hits = u[29];
-    s.l1i.misses = u[30];
-    s.l1d.hits = u[31];
-    s.l1d.misses = u[32];
-    s.mem.l2.hits = u[35];
-    s.mem.l2.misses = u[36];
-    s.mem.mshr_merges = u[37];
-    s.mem.mshr_high_water = u[38] as usize;
-    s.mem.row_hits = u[39];
-    s.mem.row_misses = u[40];
-    s.mem.fills = u[41];
-    s.mem.total_fill_latency = u[42];
-    s.mem.requests = u[43];
-    s.mem.channel_busy_cycles = ch.to_vec();
-    Some(s)
-}
 
 /// Appends `"u":[..],"ch":[..]`, the exact integer encoding of `stats`
 /// ([`stats_to_units`]), to `out`. Journal lines and wire replies both

@@ -38,12 +38,12 @@ pub mod fingerprint;
 pub mod journal;
 pub mod json;
 
-pub use fingerprint::{cell_fingerprint, fnv1a, workload_hash};
+pub use fingerprint::{cell_fingerprint, workload_hash};
 pub use journal::{
-    lock_path_for, push_stats_json, stats_to_units, units_to_stats, CompactPolicy, CompactStats,
-    CompactStep, Journal,
+    lock_path_for, push_stats_json, CompactPolicy, CompactStats, CompactStep, Journal,
 };
 pub use json::json_escape;
+pub use subwarp_core::{fnv1a, stats_to_units, units_to_stats};
 
 // ------------------------------------------------------------------- Sweep
 
@@ -58,11 +58,6 @@ pub use json::json_escape;
 #[derive(Default)]
 pub struct Sweep {
     workloads: Vec<(String, Arc<Workload>)>,
-    // Per-row fingerprint override, parallel to `workloads`. `None` rows
-    // are keyed by the structural `workload_hash`; `Some` rows (workloads
-    // loaded from trace files) are keyed by the trace content fingerprint,
-    // which survives across processes and format-compatible re-encodes.
-    hashes: Vec<Option<u64>>,
     configs: Vec<(String, SmConfig, SiConfig)>,
 }
 
@@ -78,7 +73,6 @@ impl Sweep {
         let mut s = Sweep::new();
         for (t, wl) in built_suite() {
             s.workloads.push((t.name.to_owned(), Arc::clone(wl)));
-            s.hashes.push(None);
         }
         s
     }
@@ -86,26 +80,6 @@ impl Sweep {
     /// Adds a (prebuilt, shared) workload row.
     pub fn workload(mut self, name: impl Into<String>, wl: Arc<Workload>) -> Sweep {
         self.workloads.push((name.into(), wl));
-        self.hashes.push(None);
-        self
-    }
-
-    /// Adds a workload row whose memo/journal identity is `hash` instead
-    /// of the structural [`workload_hash`].
-    ///
-    /// Trace-sourced rows use this with
-    /// `subwarp_trace::trace_fingerprint(&bytes)`: the cell fingerprint is
-    /// then keyed by the trace *content* (format version + bytes), so a
-    /// journal written against a trace file stays valid exactly as long
-    /// as the file's fingerprint does.
-    pub fn workload_hashed(
-        mut self,
-        name: impl Into<String>,
-        wl: Arc<Workload>,
-        hash: u64,
-    ) -> Sweep {
-        self.workloads.push((name.into(), wl));
-        self.hashes.push(Some(hash));
         self
     }
 
@@ -123,17 +97,6 @@ impl Sweep {
     /// Configuration labels in grid column order.
     pub fn config_labels(&self) -> impl Iterator<Item = &str> {
         self.configs.iter().map(|(l, _, _)| l.as_str())
-    }
-
-    /// The workload rows (name, shared workload), in grid order.
-    pub fn workload_rows(&self) -> &[(String, Arc<Workload>)] {
-        &self.workloads
-    }
-
-    /// The configuration columns (label, SM config, SI config), in grid
-    /// order.
-    pub fn config_cols(&self) -> &[(String, SmConfig, SiConfig)] {
-        &self.configs
     }
 
     /// Number of cells (`workloads × configs`) the sweep will run.
@@ -219,8 +182,6 @@ impl SweepPolicy {
             workers: self.workers.unwrap_or_else(subwarp_pool::default_jobs),
             deadline: self.deadline,
             max_attempts: self.max_attempts.max(1),
-            retry_panics: self.max_attempts > 1,
-            retry_errors: self.max_attempts > 1,
             ..Supervisor::default()
         }
     }
@@ -350,14 +311,8 @@ pub fn run_resilient(sweep: &Sweep, policy: &SweepPolicy) -> PartialGrid {
     let specs: Vec<JobSpec> = sweep
         .workloads
         .iter()
-        .enumerate()
-        .flat_map(|(wi, (wname, wl))| {
-            let whash = sweep
-                .hashes
-                .get(wi)
-                .copied()
-                .flatten()
-                .unwrap_or_else(|| workload_hash(wl));
+        .flat_map(|(wname, wl)| {
+            let whash = workload_hash(wl);
             sweep.configs.iter().map(move |(cname, sm, si)| {
                 let label = format!("{wname}/{cname}");
                 let fp = cell_fingerprint(&label, whash, sm, si);

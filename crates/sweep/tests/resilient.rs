@@ -11,7 +11,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use subwarp_core::{FaultKind, FaultPlan, SiConfig, SimError, SmConfig};
+use subwarp_core::{
+    FaultKind, FaultPlan, HierarchyConfig, InvariantLevel, MemBackendConfig, SiConfig, SimError,
+    SmConfig,
+};
 use subwarp_sweep::{
     cell_fingerprint, job_error_to_sim, lock_path_for, run_resilient, stats_to_units,
     units_to_stats, workload_hash, Journal, Sweep, SweepPolicy,
@@ -255,12 +258,31 @@ fn fingerprints_change_with_label_workload_and_config() {
         base,
         cell_fingerprint("toy/base", wh.wrapping_add(1), &sm, &SiConfig::disabled())
     );
-    let mut sm2 = sm.clone();
-    sm2.max_cycles += 1;
-    assert_ne!(
-        base,
-        cell_fingerprint("toy/base", wh, &sm2, &SiConfig::disabled())
-    );
+    // Run knobs that cannot change a result do not reach the key...
+    for same in [
+        sm.clone().with_invariants(InvariantLevel::Full),
+        sm.clone().with_invariants(InvariantLevel::Off),
+        sm.clone().with_fast_forward(false),
+        sm.clone().with_profile_phases(true),
+    ] {
+        assert_eq!(
+            base,
+            cell_fingerprint("toy/base", wh, &same, &SiConfig::disabled()),
+            "{same:?}"
+        );
+    }
+    // ...while every simulated field does.
+    let mut differ = vec![sm.clone(), sm.clone(), sm.clone()];
+    differ[0].max_cycles += 1;
+    differ[1].miss_latency += 1;
+    differ[2].mem_backend = MemBackendConfig::Hierarchical(HierarchyConfig::turing_like());
+    for other in differ {
+        assert_ne!(
+            base,
+            cell_fingerprint("toy/base", wh, &other, &SiConfig::disabled()),
+            "{other:?}"
+        );
+    }
 }
 
 #[test]

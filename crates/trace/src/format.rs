@@ -29,8 +29,8 @@
 //! with the same payload but different format versions never alias.
 
 use crate::error::TraceError;
-use crate::wire::{fnv1a, Reader, Writer};
-use subwarp_core::{InitValue, RayResult, RegInit, RtTrace, Workload};
+use crate::wire::{Reader, Writer};
+use subwarp_core::{fnv1a, InitValue, RayResult, RegInit, RtTrace, Workload};
 use subwarp_isa::{
     Barrier, CmpOp, ConstMem, Instruction, MufuFunc, Op, Operand, Pred, ProgramBuilder, Reg,
     SbMask, Scoreboard, StallHint, N_PRED,

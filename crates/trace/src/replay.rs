@@ -3,7 +3,10 @@
 //! A digest is a small, stable, line-oriented summary of *running* a trace:
 //! the trace fingerprint, the workload's shape, and — for a fixed pair of
 //! reference configurations — the cycle count, instruction count, and
-//! hashes of the final memory image and the full [`RunStats`]. The frozen
+//! hashes of the final memory image and the full [`RunStats`]. The stats
+//! hash runs over the exact integer codec (`stats_to_units`) the journal,
+//! the wire and the benchmark goldens share, so it pins counter values,
+//! not field names or layout. The frozen
 //! corpus under `tests/corpus/` stores one `.expect` digest next to each
 //! `.swt` trace; CI replays the trace and diffs the digest byte-for-byte,
 //! so any drift in either the format or the simulator's architectural
@@ -11,8 +14,9 @@
 
 use crate::error::TraceError;
 use crate::format::{decode_workload, trace_fingerprint, FORMAT_VERSION};
-use crate::wire::fnv1a;
-use subwarp_core::{MemoryImage, RunStats, SiConfig, SimError, Simulator, SmConfig, Workload};
+use subwarp_core::{
+    fnv1a, stats_to_units, MemoryImage, RunStats, SiConfig, SimError, Simulator, SmConfig, Workload,
+};
 
 /// Hash of a final memory image: FNV-1a over the sorted `(addr, value)`
 /// pairs, little-endian.
@@ -29,10 +33,17 @@ pub fn image_hash(image: &MemoryImage) -> u64 {
     }
 }
 
-/// Hash of the full run statistics via their `Debug` form — any
-/// architecturally visible counter drifting changes this value.
+/// Hash of the run statistics: FNV-1a over the field count and then every
+/// integer of [`stats_to_units`], little-endian — the formula of the
+/// benchmark's golden per-cell digests. Any architecturally visible
+/// counter drifting changes this value; host wall time does not.
 pub fn stats_hash(stats: &RunStats) -> u64 {
-    fnv1a(0, format!("{stats:?}").as_bytes())
+    let (u, ch) = stats_to_units(stats);
+    let mut h = fnv1a(0, &(u.len() as u64).to_le_bytes());
+    for x in u.iter().chain(&ch) {
+        h = fnv1a(h, &x.to_le_bytes());
+    }
+    h
 }
 
 /// The reference configurations a digest runs: the Turing-like baseline

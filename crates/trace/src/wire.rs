@@ -7,22 +7,6 @@
 
 use crate::error::TraceError;
 
-/// FNV-1a over `bytes`, chained from `seed` (`0` selects the standard
-/// offset basis). Same algorithm as `subwarp_sweep::fnv1a`, duplicated
-/// here so the trace crate stays dependency-minimal (isa + core only).
-pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = if seed == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        seed
-    };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Append-only little-endian buffer.
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -226,13 +210,5 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(matches!(r.count(4), Err(TraceError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vector() {
-        // FNV-1a of the empty string is the offset basis.
-        assert_eq!(fnv1a(0, b""), 0xcbf2_9ce4_8422_2325);
-        // And hashing is chainable.
-        assert_eq!(fnv1a(fnv1a(0, b"ab"), b"c"), fnv1a(0, b"abc"));
     }
 }
