@@ -38,7 +38,11 @@
 //! failures that are fully accounted for by labeled sweep holes are
 //! tolerated up to a budget of N holes total (exit 0); any failure *not*
 //! backed by holes — a logic error rather than a faulted cell — or a hole
-//! count above the budget still exits nonzero.
+//! count above the budget still exits nonzero. `--max-holes` alone
+//! installs no sweep policy (only `--resume`, `--journal`, `--deadline` and
+//! `--attempts` do), so a failing cell then aborts its sweep instead of
+//! becoming a hole, and the failure is never tolerated; `chaos` runs under
+//! its own policy.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -30,7 +30,7 @@
 //! the daemon's job vocabulary, parsed by `subwarp_serve::spec`: a command
 //! line resolves to the same job, label and fingerprint as its JSON form.
 
-use subwarp_core::{EventKind, SiConfig, Simulator};
+use subwarp_core::{EventKind, EventRecorder, SiConfig, Simulator};
 use subwarp_serve::spec::{request_from_argv, JobSpec};
 
 fn usage(error: &str) -> ! {
@@ -77,7 +77,8 @@ fn main() {
         std::process::exit(1);
     };
     let (stats, recorder) = if events {
-        let (s, r) = sim.run_recorded(wl).unwrap_or_else(|e| fail(e));
+        let mut r = EventRecorder::new();
+        let s = sim.run_profiled(wl, &mut r).unwrap_or_else(|e| fail(e));
         (s, Some(r))
     } else {
         (sim.run(wl).unwrap_or_else(|e| fail(e)), None)

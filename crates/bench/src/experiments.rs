@@ -121,22 +121,20 @@ pub fn table3(iterations: u32) -> Result<Vec<Table3Row>, SimError> {
 /// Figure 10 state-machine walkthroughs on the Figure 9 toy:
 /// `(stats, events)` without yield (10a) and with yield (10b).
 ///
-/// Stays serial: `run_recorded` returns the event tape alongside the
-/// stats, and two toy runs are far below the pool's break-even point.
+/// Stays serial: each run hands back its event tape beside the stats, and
+/// two toy runs are far below the pool's break-even point.
 #[allow(clippy::type_complexity)]
 pub fn fig10() -> Result<((RunStats, EventRecorder), (RunStats, EventRecorder)), SimError> {
     let wl = figure9_workload();
-    let a = Simulator::new(
-        SmConfig::turing_like(),
-        SiConfig::sos(SelectPolicy::AnyStalled),
-    )
-    .run_recorded(&wl)?;
-    let b = Simulator::new(
-        SmConfig::turing_like(),
-        SiConfig::both(SelectPolicy::AnyStalled),
-    )
-    .run_recorded(&wl)?;
-    Ok((a, b))
+    let run = |si: SiConfig| -> Result<(RunStats, EventRecorder), SimError> {
+        let mut rec = EventRecorder::new();
+        let stats = Simulator::new(SmConfig::turing_like(), si).run_profiled(&wl, &mut rec)?;
+        Ok((stats, rec))
+    };
+    Ok((
+        run(SiConfig::sos(SelectPolicy::AnyStalled))?,
+        run(SiConfig::both(SelectPolicy::AnyStalled))?,
+    ))
 }
 
 // -------------------------------------------------------------- Figure 12a

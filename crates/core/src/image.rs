@@ -1,14 +1,13 @@
-//! The final data-memory image of a run: every address the program stored
-//! to, with its last value.
+//! The final data-memory image of a run: every 8-byte word the program
+//! stored to, keyed by its aligned byte address, with its final value.
 //!
 //! This is the architectural-state oracle used by the differential fuzzer —
-//! two schedules of the same program must agree on it exactly. During
-//! simulation stores are appended to a flat log (a push per store, no
-//! per-store ordering work); the log is sorted and deduplicated once at the
-//! end of the run. Sorting is stable and deduplication keeps the *last*
-//! entry per address, so the result is identical to inserting every store
-//! into an ordered map in program order — including the multi-SM case,
-//! where a later SM's store to the same address wins.
+//! two schedules of the same program must agree on it exactly. The
+//! simulator builds it once, after the run, from the written words of each
+//! SM's functional memory in SM-id order. Sorting is stable and
+//! deduplication keeps the *last* entry per address, so the result is
+//! identical to inserting the log into an ordered map in order — a later
+//! SM's value for the same word wins.
 
 /// A finalized store image: `(address, last value)` pairs sorted by address.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -17,8 +16,8 @@ pub struct MemoryImage {
 }
 
 impl MemoryImage {
-    /// Builds an image from a store log in program order (later entries for
-    /// the same address win).
+    /// Builds an image from an `(address, value)` log in order (later
+    /// entries for the same address win).
     pub fn from_log(mut log: Vec<(u64, u64)>) -> MemoryImage {
         log.sort_by_key(|&(addr, _)| addr);
         let mut entries: Vec<(u64, u64)> = Vec::with_capacity(log.len());

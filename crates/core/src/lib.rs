@@ -50,11 +50,14 @@
 //! Every simulated cycle is attributed to exactly one [`CycleCause`]
 //! (issued, load/traversal/fetch stall, switch penalty, short dependency,
 //! barrier, idle), with conservation — per-cause counts summing to the
-//! cycle count — enforced at the end of every run. Attach a [`Profiler`]
-//! via [`Simulator::run_profiled`] to stream cycle attribution, thread
-//! status transitions, and occupancy/cache counters;
-//! [`ChromeTraceProfiler`] renders them as Perfetto-loadable Chrome
-//! trace-event JSON.
+//! cycle count — enforced at the end of every run. A [`Profiler`] attached
+//! via [`Simulator::run_profiled`] is a run's one side channel: it receives
+//! cycle attribution, thread-status transitions, and occupancy/cache
+//! counters. [`ChromeTraceProfiler`] renders them as Perfetto-loadable
+//! Chrome trace-event JSON; [`EventRecorder`] keeps only the transitions
+//! (the paper's Figure 10 walkthroughs). [`Simulator::run_with_memory`]
+//! also returns the final [`MemoryImage`], read from each SM's functional
+//! memory after the run.
 
 mod config;
 mod error;

@@ -1,17 +1,19 @@
-//! Pluggable run observability: the [`Profiler`] sink the simulator drives
-//! while it executes, and [`ChromeTraceProfiler`], an exporter producing
-//! Chrome trace-event JSON that loads directly into Perfetto
+//! Pluggable run observability: the [`Profiler`] sink, a run's one side
+//! channel besides its statistics, and [`ChromeTraceProfiler`], an exporter
+//! producing Chrome trace-event JSON that loads directly into Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
-//! The simulator reports three streams to an attached profiler:
+//! Each SM buffers its streams while it runs; once every SM has finished,
+//! the simulator replays them to the attached profiler SM by SM. There are
+//! three streams:
 //!
 //! 1. **Cycle attribution** — every simulated cycle (including stretches
 //!    skipped in bulk by the quiescence fast-forward) tagged with exactly
 //!    one [`CycleCause`], at SM granularity and per processing block.
-//! 2. **Thread-status transitions** — the same [`TraceEvent`] stream the
-//!    [`EventRecorder`](crate::EventRecorder) captures (the paper's
-//!    Figure 7/10 arrows), from which per-warp subwarp-activity timelines
-//!    are reconstructed.
+//! 2. **Thread-status transitions** — [`TraceEvent`]s (the paper's
+//!    Figure 7/10 arrows). [`EventRecorder`](crate::EventRecorder) keeps
+//!    only this stream; the Chrome exporter reconstructs per-warp
+//!    subwarp-activity timelines from it.
 //! 3. **Counters** — LSU/TEX/RT occupancy and L0I/L1I/L1D hit rates,
 //!    sampled once per executed cycle; when the SM runs the hierarchical
 //!    memory backend, L2 hit rate, MSHR occupancy, and DRAM channel
@@ -63,7 +65,7 @@ pub trait Profiler {
     /// A new SM's simulation is starting.
     fn begin_sm(&mut self, _sm_id: usize) {}
 
-    /// The current SM finished (or failed) at `cycle`.
+    /// The current SM finished at `cycle`.
     fn end_sm(&mut self, _cycle: u64) {}
 
     /// `n` consecutive cycles starting at `start` were attributed to
@@ -74,8 +76,8 @@ pub trait Profiler {
     /// `cause` on processing block `pb`.
     fn pb_cycles(&mut self, _pb: usize, _start: u64, _n: u64, _cause: CycleCause) {}
 
-    /// A thread-status transition (the same stream
-    /// [`run_recorded`](crate::Simulator::run_recorded) captures).
+    /// A thread-status transition (the stream an
+    /// [`EventRecorder`](crate::EventRecorder) keeps).
     fn event(&mut self, _ev: &TraceEvent) {}
 
     /// A per-cycle occupancy/cache sample. Not emitted for fast-forwarded
@@ -97,9 +99,9 @@ pub(crate) enum BufferedCall {
 /// The chip scheduler interleaves SM stepping in global-cycle order, but
 /// profilers expect each SM's stream contiguous between `begin_sm` /
 /// `end_sm`. Each SM therefore profiles into one of these during the run,
-/// and the chip replays the buffers SM by SM afterwards. `begin_sm` /
-/// `end_sm` are not buffered — the chip emits them itself around
-/// [`replay`](Self::replay).
+/// and the chip replays the buffers SM by SM once every SM has finished.
+/// `begin_sm` / `end_sm` are not buffered — the chip emits them itself
+/// around [`replay`](Self::replay).
 #[derive(Debug, Default)]
 pub(crate) struct BufferingProfiler {
     calls: Vec<BufferedCall>,

@@ -4,19 +4,15 @@
 use crate::config::{SchedulerPolicy, SiConfig, SmConfig};
 use crate::error::{InvariantLevel, SimError, StateSnapshot};
 use crate::image::MemoryImage;
-use crate::profile::{CounterSample, Profiler};
+use crate::profile::{BufferingProfiler, CounterSample, Profiler};
 use crate::stats::{CycleCause, RunStats};
-use crate::trace::{EventKind, EventRecorder, TraceEvent};
+use crate::trace::{EventKind, TraceEvent};
 use crate::warp::{lanes, IssueResult, MemKind, RtJob, WarpSim, WarpStatus};
 use crate::workload::Workload;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use subwarp_isa::{Program, Reg, Scoreboard};
 use subwarp_mem::{AccessKind, Cache, DataMemory, MemoryBackend, ServiceUnit};
-
-/// Everything one simulation produces: statistics, plus the optional event
-/// recording and final data-memory image the caller asked for.
-type RunOutputs = (RunStats, Option<EventRecorder>, Option<MemoryImage>);
 
 /// Instruction-cache line size in bytes (8 instructions of 16 bytes).
 pub const ICACHE_LINE: u64 = 128;
@@ -81,13 +77,16 @@ impl Simulator {
     /// [`SimError::InvariantViolation`] (each carrying a
     /// [`StateSnapshot`]) when the run fails mid-flight.
     pub fn run(&self, workload: &Workload) -> Result<RunStats, SimError> {
-        Ok(self.run_inner(workload, None, false, None)?.0)
+        Ok(self.run_inner(workload, None)?.0)
     }
 
     /// Runs `workload` with an attached [`Profiler`], streaming per-cycle
     /// cause attribution, thread-status transitions, and occupancy/cache
-    /// counter samples to it as the simulation executes. The profiler is a
-    /// pure observer: statistics are bit-identical to [`run`](Self::run).
+    /// counter samples to it, SM by SM, once the run completes. The profiler
+    /// is a pure observer: statistics are bit-identical to
+    /// [`run`](Self::run). Pass an [`EventRecorder`](crate::EventRecorder)
+    /// to keep only the thread-status transitions (the paper's Figure 10
+    /// walkthroughs). A failed run streams nothing.
     ///
     /// # Errors
     /// As for [`run`](Self::run).
@@ -96,23 +95,16 @@ impl Simulator {
         workload: &Workload,
         profiler: &mut dyn Profiler,
     ) -> Result<RunStats, SimError> {
-        Ok(self.run_inner(workload, None, false, Some(profiler))?.0)
-    }
-
-    /// Runs `workload`, additionally recording every thread-status
-    /// transition (the paper's Figure 10 walkthroughs).
-    ///
-    /// # Errors
-    /// As for [`run`](Self::run).
-    pub fn run_recorded(&self, workload: &Workload) -> Result<(RunStats, EventRecorder), SimError> {
-        let (stats, rec, _) = self.run_inner(workload, Some(EventRecorder::new()), false, None)?;
-        Ok((stats, rec.expect("recorder was installed")))
+        Ok(self.run_inner(workload, Some(profiler))?.0)
     }
 
     /// Runs `workload`, additionally returning the final data-memory image:
-    /// every address the program stored to, with its last value. This is the
+    /// every 8-byte word the program stored to (keyed by its aligned byte
+    /// address), with the value a load would return. This is the
     /// architectural-state oracle used by the differential fuzzer — two
-    /// schedules of the same program must agree on it exactly.
+    /// schedules of the same program must agree on it exactly. Each SM
+    /// keeps its own functional memory; where two SMs wrote one word, the
+    /// higher SM id wins.
     ///
     /// # Errors
     /// As for [`run`](Self::run).
@@ -120,8 +112,12 @@ impl Simulator {
         &self,
         workload: &Workload,
     ) -> Result<(RunStats, MemoryImage), SimError> {
-        let (stats, _, image) = self.run_inner(workload, None, true, None)?;
-        Ok((stats, image.expect("memory capture was requested")))
+        let (stats, memories) = self.run_inner(workload, None)?;
+        let mut log = Vec::new();
+        for data in &memories {
+            data.for_each_written(|word, value| log.push((word << 3, value)));
+        }
+        Ok((stats, MemoryImage::from_log(log)))
     }
 
     /// The one run loop, for every SM count, backend and partition
@@ -142,13 +138,14 @@ impl Simulator {
     ///   through stretches where *it* issues nothing; other SMs'
     ///   concurrent misses mutate shared state but cannot retroactively
     ///   change this SM's already-computed completion times.
+    ///
+    /// Returns the summed statistics and each SM's final functional memory,
+    /// in SM-id order.
     fn run_inner(
         &self,
         wl: &Workload,
-        recorder: Option<EventRecorder>,
-        capture_memory: bool,
-        mut profiler: Option<&mut dyn Profiler>,
-    ) -> Result<RunOutputs, SimError> {
+        profiler: Option<&mut dyn Profiler>,
+    ) -> Result<(RunStats, Vec<DataMemory>), SimError> {
         self.sm
             .validate()
             .map_err(|what| SimError::InvalidConfig { what })?;
@@ -166,34 +163,14 @@ impl Simulator {
         } else {
             (0..n_sms).map(|_| mem.build(latency)).collect()
         };
-        // One SM streams straight into the caller's profiler. Several SMs
-        // each profile into a [`BufferingProfiler`], replayed SM by SM after
-        // the run so the caller still sees contiguous `begin_sm`/`end_sm`
+        // Each SM profiles into its own [`BufferingProfiler`], replayed SM by
+        // SM after the run so the caller sees contiguous `begin_sm`/`end_sm`
         // streams.
-        let mut buffers: Vec<crate::profile::BufferingProfiler> = Vec::new();
-        if profiler.is_some() && n_sms > 1 {
-            buffers.resize_with(n_sms, Default::default);
-        }
-        let mut sinks = buffers.iter_mut().map(|b| b as &mut dyn Profiler);
-        let mut direct = profiler.as_deref_mut().filter(|_| n_sms == 1).map(shorten);
-        if let Some(p) = direct.as_deref_mut() {
-            p.begin_sm(0);
-        }
+        let profiled = profiler.is_some();
         let mut states: Vec<SimState> = backends
             .into_iter()
             .enumerate()
-            .map(|(sm_id, backend)| {
-                SimState::new(
-                    &self.sm,
-                    &self.si,
-                    wl,
-                    recorder.as_ref().map(|_| EventRecorder::new()),
-                    sm_id,
-                    capture_memory,
-                    direct.take().or_else(|| sinks.next()),
-                    backend,
-                )
-            })
+            .map(|(sm_id, backend)| SimState::new(&self.sm, &self.si, wl, sm_id, profiled, backend))
             .collect();
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = states
             .iter()
@@ -208,14 +185,9 @@ impl Simulator {
                 heap.push(Reverse((st.cycle, i)));
             }
         }
-        // Finalize in SM-id order: per-SM stats, the event merge, and the
-        // store log's concatenation (later SMs win on finalization's
-        // last-wins rule) are all independent of the stepping order.
+        // Finalize in SM-id order, independent of the stepping order.
         let mut total = RunStats::default();
-        let mut merged_events: Vec<TraceEvent> = Vec::new();
-        let mut store_log = capture_memory.then(Vec::new);
-        let mut final_cycles = Vec::with_capacity(n_sms);
-        for (sm_id, mut st) in states.into_iter().enumerate() {
+        for (sm_id, st) in states.iter_mut().enumerate() {
             // Cycle-attribution conservation: every cycle this SM simulated
             // — including fast-forwarded stretches — must land in exactly
             // one cause bucket. Always checked; it is one sum per SM.
@@ -243,46 +215,22 @@ impl Simulator {
                 total.per_sm.push(st.stats.clone());
             }
             total.accumulate_sm(&st.stats);
-            final_cycles.push(st.stats.cycles);
-            if let Some(r) = st.recorder {
-                merged_events.extend(r.events().iter().cloned());
-            }
-            if let (Some(all), Some(sm)) = (store_log.as_mut(), st.mem_image) {
-                all.extend(sm);
-            }
         }
         if let Some(p) = profiler {
-            let mut buffers = buffers.into_iter();
-            for (sm_id, cycle) in final_cycles.into_iter().enumerate() {
-                if let Some(buf) = buffers.next() {
-                    p.begin_sm(sm_id);
+            for (sm_id, st) in states.iter_mut().enumerate() {
+                p.begin_sm(sm_id);
+                if let Some(buf) = st.profiler.take() {
                     buf.replay(p);
                 }
-                p.end_sm(cycle);
+                p.end_sm(st.stats.cycles);
             }
         }
-        let recorder = recorder.map(|_| {
-            merged_events.sort_by_key(|e| (e.cycle, e.warp));
-            let mut r = EventRecorder::new();
-            for e in merged_events {
-                r.record(e);
-            }
-            r
-        });
-        Ok((total, recorder, store_log.map(MemoryImage::from_log)))
+        Ok((total, states.into_iter().map(|st| st.data).collect()))
     }
 }
 
-/// Shortens a profiler's trait-object lifetime to its borrow's, so the
-/// caller's profiler and the run's local buffers can share one
-/// [`SimState`] type (`&mut dyn` is invariant in its object lifetime, and
-/// only this unsizing coercion may narrow it).
-fn shorten<'s>(p: &'s mut (dyn Profiler + '_)) -> &'s mut (dyn Profiler + 's) {
-    p
-}
-
 /// All mutable state of one run.
-struct SimState<'a, 'p> {
+struct SimState<'a> {
     sm: &'a SmConfig,
     si: &'a SiConfig,
     wl: &'a Workload,
@@ -313,17 +261,13 @@ struct SimState<'a, 'p> {
     /// Per-PB greedy-then-oldest cursor.
     last_issued: Vec<Option<usize>>,
     stats: RunStats,
-    recorder: Option<EventRecorder>,
     last_progress: u64,
     /// Scratch: per-slot status this cycle.
     statuses: Vec<Option<WarpStatus>>,
-    /// Append-only log of every store in program order, kept only when the
-    /// caller asked for the final memory image
-    /// ([`Simulator::run_with_memory`]); finalized into a [`MemoryImage`].
-    mem_image: Option<Vec<(u64, u64)>>,
-    /// Optional observability sink ([`Simulator::run_profiled`]). `None` in
-    /// ordinary runs — every profiling hook is gated on one `Option` check.
-    profiler: Option<&'p mut dyn Profiler>,
+    /// This SM's profile, buffered for replay after the run
+    /// ([`Simulator::run_profiled`]). `None` in ordinary runs — every
+    /// profiling hook is gated on one `Option` check.
+    profiler: Option<BufferingProfiler>,
     /// Scratch: which PBs issued this cycle (per-PB cause attribution for
     /// the profiler).
     pb_issued: Vec<bool>,
@@ -439,18 +383,15 @@ macro_rules! for_dirty_slots {
     };
 }
 
-impl<'a, 'p> SimState<'a, 'p> {
-    #[allow(clippy::too_many_arguments)]
+impl<'a> SimState<'a> {
     fn new(
         sm: &'a SmConfig,
         si: &'a SiConfig,
         wl: &'a Workload,
-        recorder: Option<EventRecorder>,
         sm_id: usize,
-        capture_memory: bool,
-        profiler: Option<&'p mut dyn Profiler>,
+        profiled: bool,
         backend: Box<dyn MemoryBackend>,
-    ) -> SimState<'a, 'p> {
+    ) -> SimState<'a> {
         let n_slots = sm.total_warp_slots();
         let mut st = SimState {
             sm,
@@ -472,11 +413,9 @@ impl<'a, 'p> SimState<'a, 'p> {
             rt: ServiceUnit::new(),
             last_issued: vec![None; sm.n_pbs],
             stats: RunStats::default(),
-            recorder,
             last_progress: 0,
             statuses: vec![None; n_slots],
-            mem_image: capture_memory.then(Vec::new),
-            profiler,
+            profiler: profiled.then(BufferingProfiler::default),
             pb_issued: vec![false; sm.n_pbs],
             pool: Vec::new(),
             pool_enabled: true,
@@ -538,22 +477,28 @@ impl<'a, 'p> SimState<'a, 'p> {
         self.next_warp_id().is_none() && self.resident == 0
     }
 
+    /// Streams a thread-status transition to an attached profiler.
+    #[inline]
     fn record(&mut self, warp: usize, kind: EventKind, mask: u32, pc: usize) {
-        if self.recorder.is_none() && self.profiler.is_none() {
-            return;
+        if self.profiler.is_some() {
+            self.emit_event(warp, kind, mask, pc);
         }
-        let ev = TraceEvent {
-            cycle: self.cycle,
-            warp,
-            kind,
-            mask,
-            pc,
-        };
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.event(&ev);
-        }
-        if let Some(rec) = &mut self.recorder {
-            rec.record(ev);
+    }
+
+    /// Profiler-only emission half of [`record`](Self::record), outlined so
+    /// the plain-`run` hot path carries only the `Option` check.
+    #[cold]
+    #[inline(never)]
+    fn emit_event(&mut self, warp: usize, kind: EventKind, mask: u32, pc: usize) {
+        let cycle = self.cycle;
+        if let Some(p) = self.profiler.as_mut() {
+            p.event(&TraceEvent {
+                cycle,
+                warp,
+                kind,
+                mask,
+                pc,
+            });
         }
     }
 
@@ -915,7 +860,7 @@ impl<'a, 'p> SimState<'a, 'p> {
             }) else {
                 continue;
             };
-            if w.ib_covers(pc, self.program) {
+            if w.ib_covers(pc) {
                 continue;
             }
             let line = Program::byte_addr(pc) & !(ICACHE_LINE - 1);
@@ -1122,9 +1067,6 @@ impl<'a, 'p> SimState<'a, 'p> {
         // Stores update functional memory and touch the L1D.
         for (addr, value) in &res.stores {
             self.data.write(*addr, *value);
-            if let Some(log) = self.mem_image.as_mut() {
-                log.push((*addr, *value));
-            }
         }
 
         // Memory requests: coalesce lanes into cache lines. The grouping
@@ -1386,7 +1328,7 @@ impl<'a, 'p> SimState<'a, 'p> {
     #[cold]
     #[inline(never)]
     fn emit_sm_span(&mut self, cause: CycleCause, n: u64) {
-        if let Some(p) = self.profiler.as_deref_mut() {
+        if let Some(p) = self.profiler.as_mut() {
             p.sm_cycles(self.cycle, n, cause);
         }
     }
@@ -1500,7 +1442,7 @@ impl<'a, 'p> SimState<'a, 'p> {
                 self.classify_pb(pb)
             };
             let cycle = self.cycle;
-            if let Some(p) = self.profiler.as_deref_mut() {
+            if let Some(p) = self.profiler.as_mut() {
                 p.pb_cycles(pb, cycle, n, cause);
             }
         }
@@ -1520,7 +1462,7 @@ impl<'a, 'p> SimState<'a, 'p> {
                 l1d: self.l1d.stats(),
                 mem: self.backend.counters(self.cycle),
             };
-            if let Some(p) = self.profiler.as_deref_mut() {
+            if let Some(p) = self.profiler.as_mut() {
                 p.counters(&sample);
             }
         }
@@ -1619,7 +1561,7 @@ mod tests {
         let si = SiConfig::best();
         let wl = churn_workload();
         let backend = sm.mem_backend.build(sm.miss_latency);
-        let mut st = SimState::new(&sm, &si, &wl, None, 0, false, None, backend);
+        let mut st = SimState::new(&sm, &si, &wl, 0, false, backend);
         st.pool_enabled = pool_enabled;
         while !st.finished() {
             st.step().unwrap();

@@ -1,8 +1,12 @@
 //! Event tracing for state-machine walkthroughs.
 //!
 //! The paper's Figure 10 traces the thread status table through the
-//! Figure 9 toy kernel step by step. [`EventRecorder`] captures the same
-//! transitions so tests (and the `figures fig10` harness) can replay them.
+//! Figure 9 toy kernel step by step. [`EventRecorder`] is a [`Profiler`]
+//! that keeps only those transitions: pass one to
+//! [`Simulator::run_profiled`](crate::Simulator::run_profiled) and tests (and
+//! the `figures fig10` harness) can replay the tape.
+
+use crate::profile::Profiler;
 
 /// A thread-status-table transition kind (the labelled arrows of the
 /// paper's Figures 7 and 10).
@@ -61,7 +65,9 @@ pub struct TraceEvent {
     pub pc: usize,
 }
 
-/// Collects [`TraceEvent`]s during a run.
+/// Collects the [`TraceEvent`]s of a run as one chip-wide tape, ordered by
+/// `(cycle, warp)`. Use a fresh recorder per run: a second run's events
+/// would be sorted into the first run's tape.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct EventRecorder {
     events: Vec<TraceEvent>,
@@ -71,11 +77,6 @@ impl EventRecorder {
     /// An empty recorder.
     pub fn new() -> EventRecorder {
         EventRecorder::default()
-    }
-
-    /// Appends an event.
-    pub fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
     }
 
     /// All recorded events in order.
@@ -94,6 +95,19 @@ impl EventRecorder {
     }
 }
 
+impl Profiler for EventRecorder {
+    fn event(&mut self, ev: &TraceEvent) {
+        self.events.push(ev.clone());
+    }
+
+    /// Stable-sorts the tape by `(cycle, warp)`. Each SM's stream arrives
+    /// contiguous and in cycle order, so after the last SM the tape is the
+    /// chip-wide merge, with the lower SM id first on ties.
+    fn end_sm(&mut self, _cycle: u64) {
+        self.events.sort_by_key(|e| (e.cycle, e.warp));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,14 +115,14 @@ mod tests {
     #[test]
     fn recorder_collects_in_order() {
         let mut r = EventRecorder::new();
-        r.record(TraceEvent {
+        r.event(&TraceEvent {
             cycle: 1,
             warp: 0,
             kind: EventKind::Diverge,
             mask: 0b01,
             pc: 2,
         });
-        r.record(TraceEvent {
+        r.event(&TraceEvent {
             cycle: 5,
             warp: 0,
             kind: EventKind::Stall,

@@ -934,11 +934,8 @@ impl WarpSim {
     /// `warp_wide_sb` selects the baseline's warp-wide scoreboard aliasing
     /// (consumers wait on all lanes' counters); SI replicates counters per
     /// subwarp and checks only the active lanes (paper §III-C).
-    pub fn status(&self, program: &Program, cycle: u64, warp_wide_sb: bool) -> WarpStatus {
-        self.status_with_recheck(program, cycle, warp_wide_sb).0
-    }
-
-    /// [`status`](Self::status) plus the earliest future cycle at which the
+    ///
+    /// Also returns the earliest future cycle at which the
     /// classification could change *without any further mutation* to the
     /// warp — `u64::MAX` when it can only change through an external event
     /// (writeback, wakeup, fetch completion, selection, issue).
@@ -970,7 +967,7 @@ impl WarpSim {
             return (WarpStatus::SwitchWait, self.switch_ready);
         }
         let pc = self.active_pc().expect("active subwarp exists");
-        if !self.ib_covers(pc, program) {
+        if !self.ib_covers(pc) {
             return (WarpStatus::FetchWait, u64::MAX);
         }
         let inst = &program[pc];
@@ -1059,7 +1056,7 @@ impl WarpSim {
 
     /// True when the warp's instruction buffer holds the line containing
     /// `pc`.
-    pub fn ib_covers(&self, pc: usize, _program: &Program) -> bool {
+    pub fn ib_covers(&self, pc: usize) -> bool {
         match self.ib_line {
             Some(line) => {
                 let addr = Program::byte_addr(pc);
@@ -1074,7 +1071,8 @@ impl WarpSim {
     /// Issues the instruction at the active pc, applying value semantics and
     /// the thread-state machine, writing side effects into `res` (cleared
     /// first; capacities are retained so a reused `res` never allocates).
-    /// The SM must have verified [`status`](Self::status) is `Issuable`.
+    /// The SM must have verified that
+    /// [`status_with_recheck`](Self::status_with_recheck) is `Issuable`.
     pub fn issue(
         &mut self,
         program: &Program,
@@ -1317,22 +1315,6 @@ impl WarpSim {
         }
     }
 
-    /// Allocating convenience wrapper around [`issue`](Self::issue) for
-    /// tests and one-off callers; the simulator's hot path reuses a single
-    /// `IssueResult` instead.
-    pub fn issue_new(
-        &mut self,
-        program: &Program,
-        wl: &Workload,
-        cycle: u64,
-        lat: IssueLatencies,
-        diverge_order: DivergeOrder,
-    ) -> IssueResult {
-        let mut res = IssueResult::default();
-        self.issue(program, wl, cycle, lat, diverge_order, &mut res);
-        res
-    }
-
     fn set_pc(&mut self, mask: u32, pc: usize) {
         if mask == u32::MAX {
             self.pc.fill(pc);
@@ -1387,6 +1369,27 @@ mod tests {
         mufu: 16,
         lds: 25,
     };
+
+    impl WarpSim {
+        /// Allocating wrapper around [`issue`](Self::issue); the simulator
+        /// reuses a single `IssueResult` instead.
+        fn issue_new(
+            &mut self,
+            program: &Program,
+            wl: &Workload,
+            cycle: u64,
+            lat: IssueLatencies,
+            diverge_order: DivergeOrder,
+        ) -> IssueResult {
+            let mut res = IssueResult::default();
+            self.issue(program, wl, cycle, lat, diverge_order, &mut res);
+            res
+        }
+
+        fn status(&self, program: &Program, cycle: u64, warp_wide_sb: bool) -> WarpStatus {
+            self.status_with_recheck(program, cycle, warp_wide_sb).0
+        }
+    }
 
     fn wl_with(program: Program, n_threads: usize) -> Workload {
         Workload::new("t", program, 1)

@@ -4,8 +4,8 @@
 //! and the cycle-cap guard.
 
 use subwarp_core::{
-    DivergeOrder, EventKind, InitValue, SchedulerPolicy, SelectPolicy, SiConfig, SimError,
-    Simulator, SmConfig, Workload,
+    DivergeOrder, EventKind, EventRecorder, InitValue, Profiler, SchedulerPolicy, SelectPolicy,
+    SiConfig, SimError, Simulator, SmConfig, TraceEvent, Workload,
 };
 use subwarp_isa::{
     Barrier, CmpOp, MufuFunc, Operand, Pred, Program, ProgramBuilder, Reg, Scoreboard, StallHint,
@@ -97,11 +97,12 @@ fn explicit_yield_op_is_inert_on_baseline_and_switches_under_si() {
     let base = Simulator::new(SmConfig::turing_like(), SiConfig::disabled())
         .run(&w)
         .unwrap();
-    let (si, rec) = Simulator::new(
+    let mut rec = EventRecorder::new();
+    let si = Simulator::new(
         SmConfig::turing_like(),
         SiConfig::sos(SelectPolicy::AnyStalled),
     )
-    .run_recorded(&w)
+    .run_profiled(&w, &mut rec)
     .unwrap();
     // Baseline treats YIELD as a hint no-op (it must not demote anything).
     assert_eq!(base.subwarp_yields, 0);
@@ -427,8 +428,9 @@ fn multi_way_divergence_produces_one_subwarp_per_case() {
     b.bsync(Barrier(0));
     b.exit();
     let w = Workload::new("switch4", b.build().unwrap(), 1).with_init(Reg(0), InitValue::LaneId);
-    let (stats, rec) = Simulator::new(SmConfig::turing_like(), SiConfig::disabled())
-        .run_recorded(&w)
+    let mut rec = EventRecorder::new();
+    let stats = Simulator::new(SmConfig::turing_like(), SiConfig::disabled())
+        .run_profiled(&w, &mut rec)
         .unwrap();
     assert_eq!(stats.divergences, 3, "three splits for four subwarps");
     assert_eq!(rec.of_kind(EventKind::Reconverge).count(), 1);
@@ -489,13 +491,25 @@ fn multi_sm_event_recording_merges_in_cycle_order() {
         .with_threads_per_warp(2)
         .with_init(Reg(0), InitValue::LaneId)
         .with_init(Reg(4), InitValue::Const(0x9000));
-    let (_, rec) = Simulator::new(SmConfig::turing_like().with_n_sms(2), SiConfig::best())
-        .run_recorded(&wl)
-        .unwrap();
-    let cycles: Vec<u64> = rec.events().iter().map(|e| e.cycle).collect();
+    let sim = Simulator::new(SmConfig::turing_like().with_n_sms(2), SiConfig::best());
+    let mut rec = EventRecorder::new();
+    sim.run_profiled(&wl, &mut rec).unwrap();
+    let keys: Vec<(u64, usize)> = rec.events().iter().map(|e| (e.cycle, e.warp)).collect();
     assert!(
-        cycles.windows(2).all(|w| w[0] <= w[1]),
-        "events sorted by cycle"
+        keys.windows(2).all(|w| w[0] <= w[1]),
+        "events sorted by (cycle, warp)"
     );
-    assert!(!cycles.is_empty());
+    assert!(!keys.is_empty());
+
+    // The tape keeps every transition the run reports, no more, no less.
+    #[derive(Default)]
+    struct CountEvents(usize);
+    impl Profiler for CountEvents {
+        fn event(&mut self, _ev: &TraceEvent) {
+            self.0 += 1;
+        }
+    }
+    let mut count = CountEvents::default();
+    sim.run_profiled(&wl, &mut count).unwrap();
+    assert_eq!(rec.events().len(), count.0);
 }

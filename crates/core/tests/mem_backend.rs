@@ -9,14 +9,27 @@ use subwarp_isa::{Operand, ProgramBuilder, Reg, Scoreboard};
 
 /// A streaming kernel: every warp issues strided loads, accumulates, and
 /// stores its result — enough traffic to exercise L2, MSHRs, and DRAM.
+/// Addresses are `GlobalTid` bytes, so 8 lanes share each stored word.
 fn streaming_kernel(n_warps: usize) -> Workload {
+    streaming(n_warps, None)
+}
+
+/// [`streaming_kernel`], or with `Some(base)` the same sums stored one
+/// word per lane, at `base + 8 * tid`.
+fn streaming(n_warps: usize, per_lane_base: Option<i64>) -> Workload {
     let mut b = ProgramBuilder::new();
     for i in 0..8i64 {
         b.ldg(Reg(2), Reg(4), i * 128).wr_sb(Scoreboard(0));
         b.iadd(Reg(3), Reg(3), Operand::reg(2))
             .req_sb(Scoreboard(0));
     }
-    b.stg(Reg(3), Reg(4), 0);
+    match per_lane_base {
+        None => b.stg(Reg(3), Reg(4), 0),
+        Some(base) => {
+            b.shl(Reg(5), Reg(4), Operand::imm(3));
+            b.stg(Reg(3), Reg(5), base)
+        }
+    };
     b.exit();
     Workload::new("streaming", b.build().unwrap(), n_warps).with_init(Reg(4), InitValue::GlobalTid)
 }
@@ -42,6 +55,25 @@ fn backends_agree_on_architectural_state() {
             fixed_stats.instructions, hier_stats.instructions,
             "instruction count is schedule-invariant"
         );
+    }
+}
+
+#[test]
+fn image_is_keyed_by_word_and_holds_the_last_lane() {
+    // 4 warps store words 0..16 and no warp loads another warp's stored
+    // words, so each lane's sum does not depend on where the sums go.
+    const BASE: i64 = 1 << 20;
+    let n_threads = 4 * 32;
+    let sim = Simulator::new(SmConfig::turing_like(), SiConfig::best());
+    let (_, image) = sim.run_with_memory(&streaming_kernel(4)).unwrap();
+    let (_, per_lane) = sim.run_with_memory(&streaming(4, Some(BASE))).unwrap();
+    assert_eq!(image.len(), n_threads / 8);
+    for (addr, value) in image.iter() {
+        assert_eq!(addr % 8, 0, "image address {addr:#x} is not a word address");
+        // Threads `addr..addr + 8` of one warp wrote this word in lane
+        // order; the highest lane's store is the one a load sees.
+        let last_lane = addr + 7;
+        assert_eq!(per_lane.get(BASE as u64 + 8 * last_lane), Some(value));
     }
 }
 

@@ -2,7 +2,8 @@
 //! and exposed-stall accounting on hand-built kernels.
 
 use subwarp_core::{
-    EventKind, InitValue, RayResult, RtTrace, SelectPolicy, SiConfig, Simulator, SmConfig, Workload,
+    EventKind, EventRecorder, InitValue, RayResult, RtTrace, SelectPolicy, SiConfig, Simulator,
+    SmConfig, Workload,
 };
 use subwarp_isa::{Barrier, CmpOp, Operand, Pred, Program, ProgramBuilder, Reg, Scoreboard};
 
@@ -159,11 +160,12 @@ fn figure10a_schedule_without_yield() {
     // Select(t0) → (t0 stalls) → Wakeup(t1) → Select/Stall interleave →
     // Block → Reconverge.
     let wl = figure9_workload();
-    let (stats, rec) = Simulator::new(
+    let mut rec = EventRecorder::new();
+    let stats = Simulator::new(
         SmConfig::turing_like(),
         SiConfig::sos(SelectPolicy::AnyStalled),
     )
-    .run_recorded(&wl)
+    .run_profiled(&wl, &mut rec)
     .unwrap();
     let kinds = rec.kinds();
     // The first transition is the divergence split.
@@ -191,11 +193,12 @@ fn figure10b_yield_issues_both_loads_before_any_wakeup() {
     // With subwarp-yield, t1 hands the slot over right after issuing its
     // TLD, so the Yield event precedes the first Stall (Figure 10b).
     let wl = figure9_workload();
-    let (stats, rec) = Simulator::new(
+    let mut rec = EventRecorder::new();
+    let stats = Simulator::new(
         SmConfig::turing_like(),
         SiConfig::both(SelectPolicy::AnyStalled),
     )
-    .run_recorded(&wl)
+    .run_profiled(&wl, &mut rec)
     .unwrap();
     let kinds = rec.kinds();
     let first_yield = kinds

@@ -19,8 +19,9 @@
 //!    hierarchical L2+MSHR+DRAM memory backend — timing models must never
 //!    change architectural values), via
 //!    [`Simulator::run_with_memory`]. The oracle asserts the executed
-//!    warp-instruction count and the final memory image are identical
-//!    across all of them, bit for bit.
+//!    warp-instruction count and the final memory image (every written
+//!    word with the value a load returns) are identical across all of
+//!    them, bit for bit.
 //!
 //! Any mismatch — or any [`SimError`] from the always-on invariant
 //! checker — is reported as a [`Divergence`] carrying the seed, so every

@@ -163,8 +163,10 @@ impl DataMemory {
     }
 
     /// Visits every explicitly written `(word_address, value)` pair, in
-    /// unspecified order.
-    fn for_each_written(&self, mut f: impl FnMut(u64, u64)) {
+    /// unspecified order. A word address is the byte address `>> 3`; the
+    /// value is the word's last store, which is what [`read`](Self::read)
+    /// returns.
+    pub fn for_each_written(&self, mut f: impl FnMut(u64, u64)) {
         for page in self.slots.iter().flatten() {
             let base = page.page_no << PAGE_SHIFT;
             for idx in 0..PAGE_WORDS {

@@ -315,16 +315,6 @@ impl Default for Supervisor {
     }
 }
 
-impl Supervisor {
-    /// A supervisor with `workers` threads and otherwise default policy.
-    pub fn with_workers(workers: usize) -> Supervisor {
-        Supervisor {
-            workers,
-            ..Supervisor::default()
-        }
-    }
-}
-
 /// Per-batch state shared between workers and the supervisor.
 struct Shared {
     next: AtomicUsize,
@@ -638,7 +628,10 @@ mod tests {
 
     #[test]
     fn supervised_all_ok_matches_plain_run() {
-        let sup = Supervisor::with_workers(4);
+        let sup = Supervisor {
+            workers: 4,
+            ..Supervisor::default()
+        };
         let out = run_supervised::<_, (), _>(&sup, &labels(16), |i, _| Ok(i * i));
         let got: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(got, (0..16).map(|i| i * i).collect::<Vec<_>>());
@@ -646,7 +639,10 @@ mod tests {
 
     #[test]
     fn supervised_isolates_panics_with_payload() {
-        let sup = Supervisor::with_workers(4);
+        let sup = Supervisor {
+            workers: 4,
+            ..Supervisor::default()
+        };
         let out = run_supervised::<_, (), _>(&sup, &labels(8), |i, _| {
             if i == 3 {
                 panic!("injected panic at {i}");
@@ -679,7 +675,11 @@ mod tests {
             }
         };
         let run = |workers| {
-            run_supervised(&Supervisor::with_workers(workers), &labels(20), job)
+            let sup = Supervisor {
+                workers,
+                ..Supervisor::default()
+            };
+            run_supervised(&sup, &labels(20), job)
                 .into_iter()
                 .map(|r| match r {
                     Ok(v) => format!("ok {v}"),
@@ -889,7 +889,10 @@ mod tests {
 
     #[test]
     fn supervised_empty_batch() {
-        let sup = Supervisor::with_workers(4);
+        let sup = Supervisor {
+            workers: 4,
+            ..Supervisor::default()
+        };
         let out = run_supervised::<usize, (), _>(&sup, &[], |i, _| Ok(i));
         assert!(out.is_empty());
     }

@@ -7,7 +7,7 @@
 //! ```
 
 use subwarp_interleaving::core::{
-    EventKind, InitValue, SelectPolicy, SiConfig, Simulator, SmConfig, Workload,
+    EventKind, EventRecorder, InitValue, SelectPolicy, SiConfig, Simulator, SmConfig, Workload,
 };
 use subwarp_interleaving::isa::{Barrier, CmpOp, Operand, Pred, ProgramBuilder, Reg, Scoreboard};
 
@@ -48,11 +48,12 @@ fn main() {
     let base = Simulator::new(SmConfig::turing_like(), SiConfig::disabled())
         .run(&wl)
         .unwrap();
-    let (si, events) = Simulator::new(
+    let mut events = EventRecorder::new();
+    let si = Simulator::new(
         SmConfig::turing_like(),
         SiConfig::sos(SelectPolicy::AnyStalled),
     )
-    .run_recorded(&wl)
+    .run_profiled(&wl, &mut events)
     .unwrap();
 
     println!(
