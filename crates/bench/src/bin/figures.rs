@@ -52,7 +52,8 @@ use subwarp_core::SimError;
 use subwarp_serve::spec::resolve_workload;
 use subwarp_stats::{mean, BarChart, Table};
 use subwarp_sweep::{
-    chaos_sweep, holes_observed, install_global_policy, job_error_to_sim, Journal, SweepPolicy,
+    chaos_sweep, holes_observed, install_global_policy, job_error_to_sim, Journal, Sweep,
+    SweepPolicy,
 };
 
 fn main() {
@@ -217,7 +218,7 @@ fn banner(s: &str) {
 /// Figure 12a-style speedup report over `--trace` files.
 fn trace_figure(files: &[String], csvs: &mut Vec<(String, String)>) -> Result<(), SimError> {
     banner("Trace files: speedup over baseline at 600-cycle miss latency");
-    let mut loaded = Vec::new();
+    let mut rows = Sweep::new();
     for path in files {
         let (wl, fp) = resolve_workload(&format!("file:{path}")).map_err(|what| {
             SimError::InvalidWorkload {
@@ -235,9 +236,9 @@ fn trace_figure(files: &[String], csvs: &mut Vec<(String, String)>) -> Result<()
             wl.program.len(),
             wl.n_warps
         );
-        loaded.push((name, wl));
+        rows = rows.workload(name, wl);
     }
-    let rows = x::trace_report(&loaded)?;
+    let rows = x::fig12a_over(rows)?;
     let labels: Vec<String> = rows[0].speedups.iter().map(|(l, _)| l.clone()).collect();
     let mut header = vec!["trace".to_string()];
     header.extend(labels.iter().cloned());

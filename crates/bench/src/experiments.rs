@@ -150,21 +150,34 @@ pub struct Fig12aRow {
     pub best_of: f64,
 }
 
-/// The Figure 12a job grid — the full suite × (baseline + the six SI
-/// settings). Also the `perf` binary's reference sweep.
-pub fn fig12a_sweep() -> Sweep {
-    let mut sweep =
-        Sweep::over_suite().config("base", SmConfig::turing_like(), SiConfig::disabled());
+/// `rows` (a sweep of workload rows) × the Figure 12a columns: the
+/// baseline, then the six SI settings.
+fn fig12a_columns(rows: Sweep) -> Sweep {
+    let mut sweep = rows.config("base", SmConfig::turing_like(), SiConfig::disabled());
     for (label, si) in si_configs() {
         sweep = sweep.config(label, SmConfig::turing_like(), si);
     }
     sweep
 }
 
+/// The Figure 12a job grid — the full suite × (baseline + the six SI
+/// settings), as [`fig12a`] runs it.
+pub fn fig12a_sweep() -> Sweep {
+    fig12a_columns(Sweep::over_suite())
+}
+
 /// Figure 12a: suite speedups across SOS/Both × N policies at 600 cycles.
 pub fn fig12a() -> Result<Vec<Fig12aRow>, SimError> {
+    fig12a_over(Sweep::over_suite())
+}
+
+/// Figure 12a over any workload rows (the suite, or `figures --trace`
+/// files, keyed like every workload by its canonical encoding so
+/// `--resume` journals survive across processes): each row's speedup over
+/// its baseline under the six SI settings, and their BestOf.
+pub fn fig12a_over(rows: Sweep) -> Result<Vec<Fig12aRow>, SimError> {
     let configs = si_configs();
-    let sweep = fig12a_sweep();
+    let sweep = fig12a_columns(rows);
     let grid = sweep.run()?;
     Ok(sweep
         .workload_names()
@@ -688,48 +701,6 @@ pub fn chip_sweep() -> Result<Vec<ChipSweepRow>, SimError> {
         });
     }
     Ok(rows)
-}
-
-// ----------------------------------------------------------- trace files
-
-/// Figure 12a-style report over trace files instead of the built-in
-/// suite: each `(name, workload)` is a row (keyed like every workload by
-/// its canonical encoding, so `--resume` journals survive across
-/// processes), the columns are the baseline plus the six SI settings.
-pub fn trace_report(
-    files: &[(String, Arc<subwarp_core::Workload>)],
-) -> Result<Vec<Fig12aRow>, SimError> {
-    let configs = si_configs();
-    let mut sweep = Sweep::new();
-    for (name, wl) in files {
-        sweep = sweep.workload(name.clone(), Arc::clone(wl));
-    }
-    sweep = sweep.config("base", SmConfig::turing_like(), SiConfig::disabled());
-    for (label, si) in &configs {
-        sweep = sweep.config(label.clone(), SmConfig::turing_like(), *si);
-    }
-    let grid = sweep.run()?;
-    Ok(sweep
-        .workload_names()
-        .zip(&grid)
-        .map(|(name, row)| {
-            let base = &row[0];
-            let speedups: Vec<(String, f64)> = configs
-                .iter()
-                .zip(&row[1..])
-                .map(|((label, _), s)| (label.clone(), gain_pct(s, base)))
-                .collect();
-            let best_of = speedups
-                .iter()
-                .map(|(_, g)| *g)
-                .fold(f64::NEG_INFINITY, f64::max);
-            Fig12aRow {
-                name: name.to_owned(),
-                speedups,
-                best_of,
-            }
-        })
-        .collect())
 }
 
 #[cfg(test)]

@@ -477,20 +477,27 @@ impl<'a> SimState<'a> {
         self.next_warp_id().is_none() && self.resident == 0
     }
 
-    /// Streams a thread-status transition to an attached profiler.
+    /// Streams a thread-status transition of the warp resident in `slot`
+    /// to an attached profiler.
     #[inline]
-    fn record(&mut self, warp: usize, kind: EventKind, mask: u32, pc: usize) {
+    fn record(&mut self, slot: usize, kind: EventKind, mask: u32, pc: usize) {
         if self.profiler.is_some() {
-            self.emit_event(warp, kind, mask, pc);
+            self.emit_event(slot, kind, mask, pc);
         }
     }
 
     /// Profiler-only emission half of [`record`](Self::record), outlined so
-    /// the plain-`run` hot path carries only the `Option` check.
+    /// the plain-`run` hot path carries only the `Option` check. Events
+    /// name the warp, not the slot: slots repeat across SMs and are reused
+    /// by later warps.
     #[cold]
     #[inline(never)]
-    fn emit_event(&mut self, warp: usize, kind: EventKind, mask: u32, pc: usize) {
+    fn emit_event(&mut self, slot: usize, kind: EventKind, mask: u32, pc: usize) {
         let cycle = self.cycle;
+        let warp = self.slots[slot]
+            .as_ref()
+            .expect("events are recorded for resident warps")
+            .warp_id;
         if let Some(p) = self.profiler.as_mut() {
             p.event(&TraceEvent {
                 cycle,

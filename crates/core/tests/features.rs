@@ -500,6 +500,9 @@ fn multi_sm_event_recording_merges_in_cycle_order() {
         "events sorted by (cycle, warp)"
     );
     assert!(!keys.is_empty());
+    // Events name warps, not the slots that repeat across the two SMs.
+    let warps: std::collections::BTreeSet<usize> = keys.iter().map(|&(_, w)| w).collect();
+    assert_eq!(warps.into_iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
 
     // The tape keeps every transition the run reports, no more, no less.
     #[derive(Default)]

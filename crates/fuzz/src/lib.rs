@@ -532,29 +532,13 @@ pub fn check_seed_trace_parity(
     Ok(())
 }
 
-/// Runs `iters` trace-parity checks starting from `seed` (seeds are the
-/// parallel axis, as in [`run_fuzz_resilient`]). Returns campaign
-/// statistics, or the first divergence in seed order.
-pub fn run_trace_parity(
-    seed: u64,
-    iters: u64,
-    workers: usize,
-) -> Result<FuzzReport, Box<Divergence>> {
-    let per_seed = subwarp_pool::run_with_jobs(workers, iters as usize, |i| {
-        let mut r = FuzzReport::default();
-        check_seed_trace_parity(seed.wrapping_add(i as u64), &mut r, 1).map(|()| r)
-    });
-    let mut report = FuzzReport::default();
-    for result in per_seed {
-        let r = result.map_err(Box::new)?;
-        report.programs += r.programs;
-        report.runs += r.runs;
-        report.instructions += r.instructions;
-    }
-    Ok(report)
-}
-
 // ------------------------------------------------- resilient campaigns
+
+/// A per-seed check with a worker count, adding its runs to the report and
+/// returning the first mismatch: [`check_seed_with_jobs`] (SI configurations
+/// against the baseline) or [`check_seed_trace_parity`] (trace replay
+/// against direct execution).
+pub type Oracle = fn(u64, &mut FuzzReport, usize) -> Result<(), Divergence>;
 
 /// One seed's completed differential check: its contribution to the
 /// campaign counters plus the divergence it exposed, if any.
@@ -686,17 +670,19 @@ pub struct CampaignOutcome {
     pub restored: u64,
 }
 
-/// Runs a keep-going fuzzing campaign under supervision: a divergence (or
-/// a panic, or a seed exceeding `deadline`) is recorded and the campaign
-/// *continues* instead of stopping at the first failure.
+/// Runs a keep-going fuzzing campaign of `oracle` under supervision: a
+/// divergence (or a panic, or a seed exceeding `deadline`) is recorded and
+/// the campaign *continues* instead of stopping at the first failure.
 ///
 /// Seeds found in `journal` are restored without re-checking; freshly
 /// completed seeds (ok or diverged) are journaled as they finish, so a
 /// killed campaign resumed with the same journal produces the same final
 /// report and failure digest as an uninterrupted one. Panicked/timed-out
 /// seeds become synthetic [`Divergence`]s labeled `<supervisor>` and are
-/// not journaled (a resume retries them).
+/// not journaled (a resume retries them). The journal is keyed by seed
+/// alone, so one journal must only ever see one oracle.
 pub fn run_fuzz_resilient(
+    oracle: Oracle,
     seed: u64,
     iters: u64,
     workers: usize,
@@ -734,7 +720,7 @@ pub fn run_fuzz_resilient(
             move |k, _attempt| {
                 let s = seed.wrapping_add(job_pending[k]);
                 let mut r = FuzzReport::default();
-                let failure = check_seed_with_jobs(s, &mut r, 1).err();
+                let failure = oracle(s, &mut r, 1).err();
                 let outcome = SeedOutcome {
                     seed: s,
                     runs: r.runs,
@@ -813,11 +799,22 @@ mod tests {
 
     #[test]
     fn oracle_passes_a_short_campaign() {
-        let c = run_fuzz_resilient(0xF00D, 4, subwarp_pool::default_jobs(), None, None);
-        assert!(c.failures.is_empty(), "schedules must agree");
-        assert_eq!(c.report.programs, 4);
-        assert_eq!(c.report.runs, 4 * config_grid().len() as u64);
-        assert!(c.report.instructions > 0);
+        let jobs = subwarp_pool::default_jobs();
+        // The trace-parity oracle runs every configuration twice (direct +
+        // replay), the baseline one once.
+        for (oracle, runs_per_config) in [
+            (check_seed_with_jobs as Oracle, 1),
+            (check_seed_trace_parity, 2),
+        ] {
+            let c = run_fuzz_resilient(oracle, 0xF00D, 4, jobs, None, None);
+            assert!(c.failures.is_empty(), "{:?}", c.failures);
+            assert_eq!(c.report.programs, 4);
+            assert_eq!(
+                c.report.runs,
+                4 * runs_per_config * config_grid().len() as u64
+            );
+            assert!(c.report.instructions > 0);
+        }
     }
 
     #[test]
@@ -841,7 +838,7 @@ mod tests {
         for s in 0xF00D..0xF00D + 4 {
             check_seed_with_jobs(s, &mut serial, 1).expect("schedules must agree");
         }
-        let resilient = run_fuzz_resilient(0xF00D, 4, 2, None, None);
+        let resilient = run_fuzz_resilient(check_seed_with_jobs, 0xF00D, 4, 2, None, None);
         assert!(resilient.failures.is_empty());
         assert_eq!(resilient.report, serial);
         assert_eq!(resilient.restored, 0);
@@ -849,8 +846,8 @@ mod tests {
 
     #[test]
     fn resilient_serial_and_parallel_agree() {
-        let a = run_fuzz_resilient(99, 6, 1, None, None);
-        let b = run_fuzz_resilient(99, 6, 4, None, None);
+        let a = run_fuzz_resilient(check_seed_with_jobs, 99, 6, 1, None, None);
+        let b = run_fuzz_resilient(check_seed_with_jobs, 99, 6, 4, None, None);
         assert_eq!(a.report, b.report);
         assert_eq!(a.failures.len(), b.failures.len());
     }
@@ -897,14 +894,14 @@ mod tests {
         let path = temp_journal_path("resume");
         let _ = std::fs::remove_file(&path);
         // Uninterrupted reference campaign (no journal).
-        let full = run_fuzz_resilient(0xBEEF, 5, 2, None, None);
+        let full = run_fuzz_resilient(check_seed_with_jobs, 0xBEEF, 5, 2, None, None);
         // First leg: only the first 3 seeds, journaled.
         let j = std::sync::Arc::new(FuzzJournal::open(&path).unwrap());
-        run_fuzz_resilient(0xBEEF, 3, 2, None, Some(j));
+        run_fuzz_resilient(check_seed_with_jobs, 0xBEEF, 3, 2, None, Some(j));
         // Second leg: full range with the same journal resumes the rest.
         let j = std::sync::Arc::new(FuzzJournal::open(&path).unwrap());
         assert_eq!(j.restored(), 3);
-        let resumed = run_fuzz_resilient(0xBEEF, 5, 2, None, Some(j));
+        let resumed = run_fuzz_resilient(check_seed_with_jobs, 0xBEEF, 5, 2, None, Some(j));
         assert_eq!(resumed.restored, 3);
         assert_eq!(resumed.report, full.report);
         assert_eq!(resumed.failures.len(), full.failures.len());

@@ -19,7 +19,11 @@
 //! configurations against the baseline, each generated kernel is exported
 //! to the binary trace format (`subwarp-trace`), decoded back, and the
 //! replayed workload's stats and memory image are checked bit-identical to
-//! the direct run under every grid configuration.
+//! the direct run under every grid configuration. The campaign driver,
+//! failure digest and `--deadline` are the same; `--journal` and
+//! `--resume` are refused (exit 2), because the journal is keyed by seed
+//! alone and would restore the other oracle's outcomes. A parity
+//! divergence replays with `--trace-parity` added to its replay command.
 //!
 //! Campaign flags:
 //!
@@ -32,7 +36,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 use subwarp_fuzz::{
-    config_grid, random_workload, run_fuzz_resilient, run_trace_parity, FuzzJournal,
+    check_seed_trace_parity, check_seed_with_jobs, config_grid, random_workload,
+    run_fuzz_resilient, FuzzJournal, Oracle,
 };
 
 const DEFAULT_JOURNAL: &str = "results/fuzz_journal.jsonl";
@@ -92,39 +97,24 @@ fn main() {
 
     let n_configs = config_grid().len();
     let jobs = subwarp_pool::default_jobs();
-
-    if trace_parity {
+    let oracle: Oracle = if trace_parity {
+        if resume || journal_path.is_some() {
+            // The journal is keyed by seed alone: it would restore the
+            // other oracle's outcomes as this one's.
+            eprintln!("--trace-parity cannot be combined with --journal or --resume");
+            usage()
+        }
         eprintln!(
             "# trace-parity: {iters} programs from seed {seed}, export/replay across \
              {n_configs} configurations ({jobs} jobs)"
         );
-        let t0 = std::time::Instant::now();
-        match run_trace_parity(seed, iters, jobs) {
-            Ok(r) => {
-                let dt = t0.elapsed().as_secs_f64();
-                println!(
-                    "ok: {} programs x {} configurations x 2 (direct + replay) = {} runs, \
-                     {} instructions, all identical",
-                    r.programs, n_configs, r.runs, r.instructions
-                );
-                println!(
-                    "{} programs in {:.3}s ({:.1} programs/s)",
-                    r.programs,
-                    dt,
-                    r.programs as f64 / dt.max(1e-9)
-                );
-                return;
-            }
-            Err(d) => {
-                eprintln!("TRACE PARITY DIVERGENCE: {d}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    eprintln!(
-        "# fuzzing {iters} programs from seed {seed} across {n_configs} configurations ({jobs} jobs)"
-    );
+        check_seed_trace_parity
+    } else {
+        eprintln!(
+            "# fuzzing {iters} programs from seed {seed} across {n_configs} configurations ({jobs} jobs)"
+        );
+        check_seed_with_jobs
+    };
     let t0 = std::time::Instant::now();
 
     let journal = if resume || journal_path.is_some() {
@@ -141,12 +131,19 @@ fn main() {
     // A journal without --resume still checkpoints, but starts fresh
     // semantically only when the file is new; restored seeds are always
     // honoured so repeated runs converge.
-    let c = run_fuzz_resilient(seed, iters, jobs, deadline, journal);
+    let c = run_fuzz_resilient(oracle, seed, iters, jobs, deadline, journal);
     let dt = t0.elapsed().as_secs_f64();
-    println!(
-        "checked: {} programs x {} configurations = {} runs, {} instructions ({} restored from journal)",
-        c.report.programs, n_configs, c.report.runs, c.report.instructions, c.restored
-    );
+    if trace_parity {
+        println!(
+            "checked: {} programs x {} configurations x 2 (direct + replay) = {} runs, {} instructions",
+            c.report.programs, n_configs, c.report.runs, c.report.instructions
+        );
+    } else {
+        println!(
+            "checked: {} programs x {} configurations = {} runs, {} instructions ({} restored from journal)",
+            c.report.programs, n_configs, c.report.runs, c.report.instructions, c.restored
+        );
+    }
     println!(
         "{} programs in {:.3}s ({:.1} programs/s)",
         c.report.programs,

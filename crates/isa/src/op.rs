@@ -332,16 +332,11 @@ impl Op {
         }
     }
 
-    /// Source registers read by this operation (for short-latency dependency
-    /// tracking in the issue stage).
-    pub fn src_regs(&self) -> Vec<Reg> {
-        let (buf, n) = self.src_regs_fixed();
-        buf[..n].to_vec()
-    }
-
-    /// Allocation-free [`src_regs`](Self::src_regs): the sources in a fixed
-    /// buffer plus a count. This is the form the simulator's per-cycle
-    /// issue-readiness check uses (an op reads at most 3 registers).
+    /// Source registers read by this operation (for short-latency
+    /// dependency tracking in the issue stage), allocation-free: the
+    /// non-`RZ` sources in a fixed buffer plus a count. The simulator's
+    /// per-cycle issue-readiness check reads this (an op reads at most 3
+    /// registers).
     #[inline]
     pub fn src_regs_fixed(&self) -> ([Reg; 3], usize) {
         let mut buf = [Reg::RZ; 3];
@@ -583,14 +578,16 @@ mod tests {
             b: Operand::reg(2),
             c: Operand::imm(5),
         };
-        assert_eq!(op.src_regs(), vec![Reg(1), Reg(2)]);
+        let (buf, n) = op.src_regs_fixed();
+        assert_eq!(buf[..n], [Reg(1), Reg(2)]);
         let op = Op::IMad {
             dst: Reg(0),
             a: Reg::RZ,
             b: Operand::reg(2),
             c: Operand::reg(3),
         };
-        assert_eq!(op.src_regs(), vec![Reg(2), Reg(3)]);
+        let (buf, n) = op.src_regs_fixed();
+        assert_eq!(buf[..n], [Reg(2), Reg(3)]);
     }
 
     #[test]

@@ -33,8 +33,8 @@ use subwarp_core::FaultPlan;
 use subwarp_serve::listen::{accept_loop, install_signal_handlers, terminated, Conns};
 use subwarp_serve::server::Phase;
 use subwarp_serve::wire::{tcp_handler, WireLimits};
-use subwarp_serve::{MemoStore, Server, ServerConfig};
-use subwarp_sweep::{CompactPolicy, CompactStep};
+use subwarp_serve::{Server, ServerConfig};
+use subwarp_sweep::{CompactPolicy, CompactStep, Journal};
 
 struct Args {
     listen: String,
@@ -211,7 +211,7 @@ fn compact_main(argv: Vec<String>) -> ! {
     let Some(path) = store else {
         fail("--store PATH is required".to_owned());
     };
-    let store = match MemoStore::open(&path) {
+    let store = match Journal::open(&path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("subwarp-serve compact: cannot open store `{path}`: {e}");
@@ -250,14 +250,14 @@ fn main() {
     install_signal_handlers();
 
     let store = match &args.store {
-        Some(path) => match MemoStore::open(path) {
+        Some(path) => match Journal::open(path) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("subwarp-serve: cannot open store `{path}`: {e}");
                 std::process::exit(1);
             }
         },
-        None => MemoStore::in_memory(),
+        None => Journal::in_memory(),
     };
     let restored = store.restored();
     let server = Server::start(args.cfg, store);

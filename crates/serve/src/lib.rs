@@ -4,7 +4,6 @@
 //! | Module | What it owns |
 //! |---|---|
 //! | [`spec`] | the job vocabulary: request or command line → validated [`spec::JobSpec`] + content fingerprint |
-//! | [`store`] | fingerprint-keyed memo store over the locked sweep journal |
 //! | [`server`] | admission control, coalescing, supervised dispatch, drain |
 //! | [`wire`] | NDJSON request/reply protocol over any byte stream |
 //! | [`listen`] | the shared accept loop, connection registry, SIGTERM flag |
@@ -41,7 +40,6 @@ pub mod cluster;
 pub mod listen;
 pub mod server;
 pub mod spec;
-pub mod store;
 pub mod traffic;
 pub mod wire;
 
@@ -55,5 +53,4 @@ pub use client::Client;
 pub use cluster::{Router, RouterConfig, ShardHealth};
 pub use server::{Phase, Server, ServerConfig, Submitted};
 pub use spec::JobSpec;
-pub use store::MemoStore;
 pub use traffic::Recording;

@@ -24,9 +24,9 @@ use std::time::Duration;
 
 use subwarp_core::{FaultPlan, RunStats, SimError, Simulator};
 use subwarp_pool::{Backoff, JobCause, Supervisor};
+use subwarp_sweep::Journal;
 
 use crate::spec::JobSpec;
-use crate::store::MemoStore;
 
 /// Server tuning knobs; [`Default`] is sized for the smoke tests and the
 /// `loadgen` examples.
@@ -142,8 +142,11 @@ struct QueueState {
 pub struct Counters {
     /// Jobs accepted into the queue (including coalesced subscribers).
     pub accepted: AtomicU64,
-    /// Submissions answered from the store without queueing.
+    /// Submissions answered from the store without queueing (the wire's
+    /// `store_hits`).
     pub cached: AtomicU64,
+    /// Submissions the store could not answer.
+    pub store_misses: AtomicU64,
     /// Submissions attached to an identical pending job.
     pub coalesced: AtomicU64,
     /// Simulations actually executed (attempt 1 only).
@@ -164,7 +167,7 @@ pub struct Counters {
 
 struct Inner {
     cfg: ServerConfig,
-    store: MemoStore,
+    store: Journal,
     phase: AtomicU8,
     cancel: Arc<AtomicBool>,
     queue: Mutex<QueueState>,
@@ -181,8 +184,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the dispatcher and returns the running server.
-    pub fn start(cfg: ServerConfig, store: MemoStore) -> Arc<Server> {
+    /// Starts the dispatcher and returns the running server. `store` is
+    /// the memo store: a [`Journal`] opened on disk, or
+    /// [`Journal::in_memory`].
+    pub fn start(cfg: ServerConfig, store: Journal) -> Arc<Server> {
         let inner = Arc::new(Inner {
             cfg,
             store,
@@ -216,8 +221,8 @@ impl Server {
         &self.inner.counters
     }
 
-    /// The memo store (hit/miss counters, size).
-    pub fn store(&self) -> &MemoStore {
+    /// The memo store.
+    pub fn store(&self) -> &Journal {
         &self.inner.store
     }
 
@@ -246,6 +251,7 @@ impl Server {
             inner.counters.cached.fetch_add(1, Ordering::Relaxed);
             return Submitted::Cached(Box::new(stats));
         }
+        inner.counters.store_misses.fetch_add(1, Ordering::Relaxed);
         let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
         // Per-client quota covers queued and coalesced subscriptions alike:
         // a client cannot flood the service by subscribing to one hot job
@@ -352,17 +358,16 @@ impl Server {
     /// One-line stats snapshot in wire form.
     pub fn stats_json(&self) -> String {
         let c = &self.inner.counters;
-        let (hits, misses) = self.inner.store.counters();
+        let cached = c.cached.load(Ordering::Relaxed);
         format!(
-            "{{\"ok\":true,\"phase\":\"{}\",\"accepted\":{},\"cached\":{},\"coalesced\":{},\
+            "{{\"ok\":true,\"phase\":\"{}\",\"accepted\":{},\"cached\":{cached},\"coalesced\":{},\
              \"simulated\":{},\"completed_ok\":{},\"failed\":{},\"shed\":{},\
              \"conn_timeouts\":{},\"oversized\":{},\
-             \"store_hits\":{hits},\"store_misses\":{misses},\"store_len\":{},\
+             \"store_hits\":{cached},\"store_misses\":{},\"store_len\":{},\
              \"store_bytes\":{},\"compactions\":{},\
              \"restored\":{},\"pending\":{}}}",
             self.phase().name(),
             c.accepted.load(Ordering::Relaxed),
-            c.cached.load(Ordering::Relaxed),
             c.coalesced.load(Ordering::Relaxed),
             c.simulated.load(Ordering::Relaxed),
             c.ok.load(Ordering::Relaxed),
@@ -370,6 +375,7 @@ impl Server {
             c.shed.load(Ordering::Relaxed),
             c.conn_timeouts.load(Ordering::Relaxed),
             c.oversized.load(Ordering::Relaxed),
+            c.store_misses.load(Ordering::Relaxed),
             self.inner.store.len(),
             self.inner.store.disk_bytes(),
             self.inner.store.compactions(),
@@ -433,7 +439,7 @@ fn dispatch_loop(inner: &Arc<Inner>) {
             // A result that landed in the store between admission and
             // dispatch (e.g. recorded by a previous batch before this
             // duplicate was admitted) short-circuits the simulation.
-            if let Some(stats) = run_inner.store.peek(spec.fp) {
+            if let Some(stats) = run_inner.store.lookup(spec.fp) {
                 return Ok((stats, true));
             }
             if let Some(plan) = &run_inner.cfg.faults {

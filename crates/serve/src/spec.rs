@@ -442,7 +442,7 @@ mod tests {
         assert_eq!(err.as_deref(), Some("n_sms must be at most 72, got 73"));
         let server = crate::Server::start(
             crate::ServerConfig::default(),
-            crate::MemoStore::in_memory(),
+            subwarp_sweep::Journal::in_memory(),
         );
         let req = parse(r#"{"workload":"toy","mem":"hier","sms":1000000}"#).unwrap();
         let (reply, _) = crate::wire::handle_request(&server, "test", &req);

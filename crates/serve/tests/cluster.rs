@@ -18,8 +18,9 @@ use subwarp_serve::chaos::{ChaosPlan, ChaosProxy};
 use subwarp_serve::cluster::{Router, RouterConfig};
 use subwarp_serve::listen::{accept_loop, Conns};
 use subwarp_serve::wire::{tcp_handler, WireLimits};
-use subwarp_serve::{JobSpec, MemoStore, Phase, Server, ServerConfig};
+use subwarp_serve::{JobSpec, Phase, Server, ServerConfig};
 use subwarp_sweep::json::parse;
+use subwarp_sweep::Journal;
 
 fn shard_config() -> ServerConfig {
     ServerConfig {
@@ -49,7 +50,7 @@ impl Shard {
     /// `subwarp-serve` accept path.
     fn spawn_at(
         addr: &str,
-        store: MemoStore,
+        store: Journal,
         io_timeout: Option<Duration>,
         limits: WireLimits,
     ) -> Shard {
@@ -74,7 +75,7 @@ impl Shard {
         }
     }
 
-    fn spawn(store: MemoStore) -> Shard {
+    fn spawn(store: Journal) -> Shard {
         Shard::spawn_at(
             "127.0.0.1:0",
             store,
@@ -99,10 +100,10 @@ impl Shard {
 /// A stopped shard's journal lock is released when the last handler
 /// thread drops its `Arc<Server>`, which can trail `stop()` by a moment;
 /// retry briefly so restart tests are not flaky.
-fn open_store_with_retry(path: &std::path::Path) -> MemoStore {
+fn open_store_with_retry(path: &std::path::Path) -> Journal {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        match MemoStore::open(path) {
+        match Journal::open(path) {
             Ok(s) => return s,
             Err(e) if Instant::now() < deadline => {
                 let _ = e;
@@ -159,8 +160,8 @@ const SPEC: &str = r#"{"workload":"toy","si":"both"}"#;
 
 #[test]
 fn failover_survives_a_dead_primary() {
-    let a = Shard::spawn(MemoStore::in_memory());
-    let b = Shard::spawn(MemoStore::in_memory());
+    let a = Shard::spawn(Journal::in_memory());
+    let b = Shard::spawn(Journal::in_memory());
     let addrs = vec![a.addr.clone(), b.addr.clone()];
     let router = test_router(addrs, 1, 2);
     router.probe_all();
@@ -220,7 +221,7 @@ fn all_owners_dead_sheds_in_bounded_time() {
 
 #[test]
 fn retries_ride_out_transient_chaos() {
-    let shard = Shard::spawn(MemoStore::in_memory());
+    let shard = Shard::spawn(Journal::in_memory());
     // The first few dials are refused, then the network heals: with
     // retries the job must still come back ok, and deterministically so.
     let plan = ChaosPlan {
@@ -246,7 +247,7 @@ fn retries_ride_out_transient_chaos() {
 
 #[test]
 fn garbage_replies_are_retried_not_propagated() {
-    let shard = Shard::spawn(MemoStore::in_memory());
+    let shard = Shard::spawn(Journal::in_memory());
     // Every connection gets a garbage line prepended to the reply stream
     // until the plan clears; the router must never forward garbage to its
     // client.
@@ -271,7 +272,7 @@ fn garbage_replies_are_retried_not_propagated() {
 fn oversized_request_line_gets_typed_error_and_close() {
     let shard = Shard::spawn_at(
         "127.0.0.1:0",
-        MemoStore::in_memory(),
+        Journal::in_memory(),
         Some(Duration::from_secs(30)),
         WireLimits { max_line: 256 },
     );
@@ -299,7 +300,7 @@ fn oversized_request_line_gets_typed_error_and_close() {
 fn slowloris_connection_is_cut_and_counted() {
     let shard = Shard::spawn_at(
         "127.0.0.1:0",
-        MemoStore::in_memory(),
+        Journal::in_memory(),
         Some(Duration::from_millis(200)),
         WireLimits::default(),
     );
@@ -339,7 +340,7 @@ fn restarted_shard_re_serves_byte_identically_through_the_router() {
     let _ = std::fs::remove_file(&store_path);
     let _ = std::fs::remove_file(subwarp_sweep::lock_path_for(&store_path));
 
-    let shard = Shard::spawn(MemoStore::open(&store_path).unwrap());
+    let shard = Shard::spawn(Journal::open(&store_path).unwrap());
     let addr = shard.addr.clone();
     let router = test_router(vec![addr.clone()], 0, 3);
 

@@ -14,8 +14,7 @@
 use std::sync::Arc;
 
 use subwarp_core::{SiConfig, SmConfig, Workload};
-use subwarp_serve::MemoStore;
-use subwarp_sweep::{cell_fingerprint, lock_path_for, workload_hash};
+use subwarp_sweep::{cell_fingerprint, lock_path_for, workload_hash, Journal};
 
 fn configs() -> Vec<(String, SmConfig, SiConfig)> {
     let sm = SmConfig::turing_like();
@@ -38,7 +37,7 @@ fn assert_store_matches_fresh_sim(tag: &str, corpus: Vec<(String, Arc<Workload>)
 
     let mut expected = Vec::new();
     {
-        let store = MemoStore::open(&path).unwrap();
+        let store = Journal::open(&path).unwrap();
         for (wname, wl) in &corpus {
             let whash = workload_hash(wl);
             for (cname, sm, si) in configs() {
@@ -57,7 +56,7 @@ fn assert_store_matches_fresh_sim(tag: &str, corpus: Vec<(String, Arc<Workload>)
         assert!(!expected.is_empty(), "corpus produced no cells");
     }
 
-    let store = MemoStore::open(&path).unwrap();
+    let store = Journal::open(&path).unwrap();
     assert_eq!(store.restored(), expected.len());
     for (label, fp, stats) in &expected {
         let served = store

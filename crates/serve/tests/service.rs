@@ -16,8 +16,9 @@ use subwarp_core::{FaultKind, FaultPlan, RunStats};
 use subwarp_serve::listen::{accept_loop, Conns};
 use subwarp_serve::server::JobReply;
 use subwarp_serve::wire::{tcp_handler, WireLimits};
-use subwarp_serve::{Client, JobSpec, MemoStore, Phase, Server, ServerConfig, Submitted};
+use subwarp_serve::{Client, JobSpec, Phase, Server, ServerConfig, Submitted};
 use subwarp_sweep::json::parse;
+use subwarp_sweep::Journal;
 
 /// A small config sized for single-core CI: tiny batches, generous
 /// deadline, no retries unless a test opts in.
@@ -70,7 +71,7 @@ fn recv_ok(rx: &Receiver<JobReply>) -> (RunStats, bool) {
 
 #[test]
 fn fresh_connections_are_accepted_on_arrival() {
-    let server = Server::start(test_config(), MemoStore::in_memory());
+    let server = Server::start(test_config(), Journal::in_memory());
     let (addr, listener) = spawn_listener(Arc::clone(&server));
 
     // A loop that slept between polls would make each new connection wait
@@ -94,7 +95,7 @@ fn fresh_connections_are_accepted_on_arrival() {
 
 #[test]
 fn tcp_resubmit_hits_the_memo_store_byte_identically() {
-    let server = Server::start(test_config(), MemoStore::in_memory());
+    let server = Server::start(test_config(), Journal::in_memory());
     let (addr, listener) = spawn_listener(Arc::clone(&server));
 
     let mut client = Client::connect(&addr).unwrap();
@@ -141,7 +142,7 @@ fn concurrent_duplicates_coalesce_into_one_simulation() {
         faults: Some(FaultPlan::none(1).with_target("toy/baseline", FaultKind::Delay { ms: 400 })),
         ..test_config()
     };
-    let server = Server::start(cfg, MemoStore::in_memory());
+    let server = Server::start(cfg, Journal::in_memory());
 
     let mut rxs = Vec::new();
     for client in ["a", "b", "c", "d", "e"] {
@@ -168,6 +169,20 @@ fn concurrent_duplicates_coalesce_into_one_simulation() {
         "five identical submissions, one simulation"
     );
     assert_eq!(c.coalesced.load(std::sync::atomic::Ordering::Relaxed), 4);
+
+    // The wire's store counters, as the benchmark reads them: every one of
+    // the five submissions missed the store (one queued, four coalesced);
+    // a later identical submission is a hit, counted as `cached` too.
+    let store_counters = |server: &Server| {
+        let stats = parse(&server.stats_json()).unwrap();
+        ["cached", "store_hits", "store_misses"].map(|k| stats.u64_field(k).unwrap())
+    };
+    assert_eq!(store_counters(&server), [0, 0, 5]);
+    match server.submit("f", spec(r#"{"workload":"toy"}"#)) {
+        Submitted::Cached(stats) => assert_eq!(*stats, replies[0].0),
+        _ => panic!("a completed fingerprint must be served from the store"),
+    }
+    assert_eq!(store_counters(&server), [1, 1, 5]);
     server.drain();
     server.join();
 }
@@ -182,7 +197,7 @@ fn full_queue_and_over_quota_submissions_are_shed() {
         faults: Some(FaultPlan::none(2).with_target("toy/baseline", FaultKind::Delay { ms: 800 })),
         ..test_config()
     };
-    let server = Server::start(cfg, MemoStore::in_memory());
+    let server = Server::start(cfg, Journal::in_memory());
 
     // Job 0 is claimed by the dispatcher and sleeps 800 ms...
     let rx0 = match server.submit("c0", spec(r#"{"workload":"toy"}"#)) {
@@ -231,7 +246,7 @@ fn drain_answers_accepted_work_then_sheds_new_submissions() {
         faults: Some(FaultPlan::none(3).with_target("toy/baseline", FaultKind::Delay { ms: 200 })),
         ..test_config()
     };
-    let server = Server::start(cfg, MemoStore::in_memory());
+    let server = Server::start(cfg, Journal::in_memory());
 
     let rxs: Vec<Receiver<JobReply>> = [
         r#"{"workload":"toy"}"#,
@@ -278,7 +293,7 @@ fn chaos_burst_terminates_every_job_and_daemon_survives() {
         }),
         ..test_config()
     };
-    let server = Server::start(cfg, MemoStore::in_memory());
+    let server = Server::start(cfg, Journal::in_memory());
 
     let mut lines = vec![r#"{"workload":"toy"}"#.to_owned()];
     for size in [4, 8, 16] {
@@ -341,7 +356,7 @@ fn graceful_restart_serves_journaled_results_byte_identically() {
 
     let mut first_run: Vec<(u64, RunStats)> = Vec::new();
     {
-        let server = Server::start(test_config(), MemoStore::open(&path).unwrap());
+        let server = Server::start(test_config(), Journal::open(&path).unwrap());
         for line in &lines {
             let s = spec(line);
             let fp = s.fp;
@@ -360,7 +375,7 @@ fn graceful_restart_serves_journaled_results_byte_identically() {
     let store = {
         let mut attempt = 0;
         loop {
-            match MemoStore::open(&path) {
+            match Journal::open(&path) {
                 Ok(s) => break s,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && attempt < 100 => {
                     attempt += 1;
@@ -399,7 +414,7 @@ fn graceful_restart_serves_journaled_results_byte_identically() {
 
 #[test]
 fn tcp_connection_survives_garbage_and_client_disconnects() {
-    let server = Server::start(test_config(), MemoStore::in_memory());
+    let server = Server::start(test_config(), Journal::in_memory());
     let (addr, listener) = spawn_listener(Arc::clone(&server));
 
     // A client that sends garbage and hangs up mid-protocol.

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use subwarp_core::{stats_to_units, units_to_stats, RunStats};
@@ -155,13 +156,24 @@ fn acquire_lock(journal_path: &Path) -> std::io::Result<LockGuard> {
 /// the holder's PID): a second simultaneous writer fails fast with an error
 /// naming the holder instead of silently interleaving appends. A lock left
 /// behind by a `kill -9` is detected as stale (its PID is gone) and stolen.
+///
+/// [`Journal::in_memory`] keeps the same map and recency clock with no
+/// file and no lock: the `subwarp-serve` daemon's store when it runs
+/// without `--store`.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     restored: usize,
     state: Mutex<JournalState>,
+    compactions: AtomicU64,
+    /// The backing file; `None` for an in-memory journal.
+    disk: Option<Disk>,
+}
+
+/// The file half of an opened [`Journal`].
+#[derive(Debug)]
+struct Disk {
+    path: PathBuf,
     file: Mutex<std::fs::File>,
-    compactions: std::sync::atomic::AtomicU64,
     // Held for the journal's lifetime; releases (removes) the sentinel on
     // drop.
     _lock: LockGuard,
@@ -263,8 +275,8 @@ impl CompactStep {
     }
 }
 
-/// What a compaction pass did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a compaction pass did (all zero for an in-memory journal).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactStats {
     /// Journal size before, in bytes.
     pub before_bytes: u64,
@@ -302,21 +314,30 @@ impl Journal {
             }
         })?;
         Ok(Journal {
-            path,
             restored: state.completed.len(),
             state: Mutex::new(state),
-            file: Mutex::new(file),
-            compactions: std::sync::atomic::AtomicU64::new(0),
-            _lock: lock,
+            compactions: AtomicU64::new(0),
+            disk: Some(Disk {
+                path,
+                file: Mutex::new(file),
+                _lock: lock,
+            }),
         })
     }
 
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// A journal with no file and no lock: lookups, records and the
+    /// recency clock behave as on disk, results die with the process, and
+    /// [`compact`](Journal::compact) is a no-op.
+    pub fn in_memory() -> Journal {
+        Journal {
+            restored: 0,
+            state: Mutex::default(),
+            compactions: AtomicU64::new(0),
+            disk: None,
+        }
     }
 
-    /// Cells restored from disk when the journal was opened.
+    /// Cells restored from disk when the journal was opened (0 in memory).
     pub fn restored(&self) -> usize {
         self.restored
     }
@@ -335,15 +356,18 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Bytes the journal file currently occupies on disk (0 if it does not
-    /// exist yet). The `--compact-at` trigger polls this.
+    /// Bytes the journal file currently occupies on disk (0 in memory or
+    /// if the file does not exist yet). The `--compact-at` trigger polls
+    /// this.
     pub fn disk_bytes(&self) -> u64 {
-        std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0)
+        self.disk.as_ref().map_or(0, |d| {
+            std::fs::metadata(&d.path).map(|m| m.len()).unwrap_or(0)
+        })
     }
 
     /// Compaction passes completed on this handle.
     pub fn compactions(&self) -> u64 {
-        self.compactions.load(std::sync::atomic::Ordering::Relaxed)
+        self.compactions.load(Ordering::Relaxed)
     }
 
     /// The journaled result for a fingerprint, if that cell completed in an
@@ -359,7 +383,8 @@ impl Journal {
     }
 
     /// Records a completed cell: appends one line and flushes so the result
-    /// survives a SIGKILL arriving right after.
+    /// survives a SIGKILL arriving right after. In memory only the map and
+    /// the recency clock change.
     ///
     /// Ordering matters for compaction soundness: the in-memory state is
     /// updated *before* the disk append, so any record whose bytes made it
@@ -367,6 +392,12 @@ impl Journal {
     /// (compaction takes the file lock first, then the state lock) and can
     /// never be dropped from the rewritten journal.
     pub fn record(&self, fp: u64, label: &str, stats: &RunStats) {
+        let Some(disk) = &self.disk else {
+            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            st.completed.insert(fp, stats.clone());
+            st.bump(fp);
+            return;
+        };
         let mut line = format!(
             "{{\"v\":1,\"fp\":\"{fp:016x}\",\"label\":\"{}\",",
             json_escape(label)
@@ -379,7 +410,7 @@ impl Journal {
             st.lines.insert(fp, line.clone());
             st.bump(fp);
         }
-        let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let mut f = disk.file.lock().unwrap_or_else(|e| e.into_inner());
         // A failed append degrades resume granularity, never the sweep.
         let _ = append_line(&mut f, &line);
     }
@@ -394,7 +425,7 @@ impl Journal {
     /// hands off from the old inode to the new one, and the append handle
     /// is reopened on the new file under the held file mutex so no
     /// concurrent [`record`](Journal::record) can write to the unlinked
-    /// original.
+    /// original. An in-memory journal returns zero [`CompactStats`].
     pub fn compact(&self, policy: &CompactPolicy) -> std::io::Result<CompactStats> {
         self.compact_with_hook(policy, &mut |_| {})
     }
@@ -409,9 +440,12 @@ impl Journal {
         policy: &CompactPolicy,
         hook: &mut dyn FnMut(CompactStep),
     ) -> std::io::Result<CompactStats> {
+        let Some(disk) = &self.disk else {
+            return Ok(CompactStats::default());
+        };
         // File lock first, then state: appends are paused, and every
         // record whose bytes reached the file is in the state snapshot.
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let mut file = disk.file.lock().unwrap_or_else(|e| e.into_inner());
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let before_bytes = self.disk_bytes();
 
@@ -449,7 +483,7 @@ impl Journal {
 
         hook(CompactStep::Begin);
         let tmp = {
-            let mut p = self.path.as_os_str().to_owned();
+            let mut p = disk.path.as_os_str().to_owned();
             p.push(".compact");
             PathBuf::from(p)
         };
@@ -461,21 +495,20 @@ impl Journal {
             t.sync_all()?;
         }
         hook(CompactStep::TmpSynced);
-        std::fs::rename(&tmp, &self.path)?;
+        std::fs::rename(&tmp, &disk.path)?;
         hook(CompactStep::Renamed);
-        sync_parent_dir(&self.path);
+        sync_parent_dir(&disk.path);
         hook(CompactStep::DirSynced);
 
         // Swap the append handle onto the new inode before releasing the
         // file lock; a pending record then appends to the live journal.
-        *file = std::fs::OpenOptions::new().append(true).open(&self.path)?;
+        *file = std::fs::OpenOptions::new().append(true).open(&disk.path)?;
         for fp in &evicted {
             st.completed.remove(fp);
             st.lines.remove(fp);
             st.touch.remove(fp);
         }
-        self.compactions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(CompactStats {
             before_bytes,
             after_bytes: content.len() as u64,

@@ -150,18 +150,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The byte at the cursor, not consumed.
+    fn lookahead(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.lookahead(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn eat(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
+        if self.lookahead() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -173,7 +174,7 @@ impl<'a> Parser<'a> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        match self.peek() {
+        match self.lookahead() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
             Some(b'"') => Ok(Value::Str(self.string()?)),
@@ -199,7 +200,7 @@ impl<'a> Parser<'a> {
         self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.lookahead() == Some(b'}') {
             self.pos += 1;
             return Ok(Value::Obj(pairs));
         }
@@ -212,7 +213,7 @@ impl<'a> Parser<'a> {
             let v = self.value(depth + 1)?;
             pairs.push((key, v));
             self.skip_ws();
-            match self.peek() {
+            match self.lookahead() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
@@ -227,7 +228,7 @@ impl<'a> Parser<'a> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.lookahead() == Some(b']') {
             self.pos += 1;
             return Ok(Value::Arr(items));
         }
@@ -235,7 +236,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             items.push(self.value(depth + 1)?);
             self.skip_ws();
-            match self.peek() {
+            match self.lookahead() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
@@ -250,7 +251,7 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
+            match self.lookahead() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
@@ -258,7 +259,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+                    let esc = self.lookahead().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -320,27 +321,27 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.lookahead() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        while matches!(self.lookahead(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
         let mut is_float = false;
-        if self.peek() == Some(b'.') {
+        if self.lookahead() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while matches!(self.lookahead(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if matches!(self.lookahead(), Some(b'e' | b'E')) {
             is_float = true;
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
+            if matches!(self.lookahead(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while matches!(self.lookahead(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }

@@ -17,7 +17,7 @@ use subwarp_core::{
 };
 use subwarp_sweep::{
     cell_fingerprint, job_error_to_sim, lock_path_for, run_resilient, stats_to_units,
-    units_to_stats, workload_hash, Journal, Sweep, SweepPolicy,
+    units_to_stats, workload_hash, CompactPolicy, CompactStats, Journal, Sweep, SweepPolicy,
 };
 use subwarp_workloads::{figure9_workload, microbenchmark};
 
@@ -86,8 +86,47 @@ fn journal_roundtrip_restores_stats_exactly() {
     // All-integer stats ⇒ the journaled copy is bit-for-bit the original.
     assert_eq!(j.lookup(0xDEAD_BEEF).unwrap(), stats);
     assert!(j.lookup(1).is_none());
+    assert_eq!(j.len(), 1);
     drop(j);
     cleanup(&path);
+
+    // The in-memory journal answers the same lookups, creates no file and
+    // reports nothing on disk. (Other tests here only create
+    // `subwarp_sweep_*` files, so those are left out of the comparison.)
+    let files = || -> Vec<PathBuf> {
+        [std::env::temp_dir(), PathBuf::from(".")]
+            .iter()
+            .flat_map(|dir| std::fs::read_dir(dir).unwrap())
+            .map(|e| e.unwrap().path())
+            .filter(|p| !p.to_string_lossy().contains("subwarp_sweep_"))
+            .collect()
+    };
+    let before = files();
+    let mem = Journal::in_memory();
+    assert!(mem.is_empty());
+    mem.record(0xDEAD_BEEF, "toy/si", &stats);
+    assert_eq!(mem.lookup(0xDEAD_BEEF).unwrap(), stats);
+    assert!(mem.lookup(1).is_none());
+    assert_eq!(mem.len(), 1);
+    assert_eq!((mem.restored(), mem.disk_bytes()), (0, 0));
+    let zero = CompactStats::default();
+    assert_eq!(mem.compact(&CompactPolicy::keep_all()).unwrap(), zero);
+    let mut steps = 0;
+    let tight = CompactPolicy {
+        max_entries: Some(0),
+        ..CompactPolicy::keep_all()
+    };
+    assert_eq!(
+        mem.compact_with_hook(&tight, &mut |_| steps += 1).unwrap(),
+        zero
+    );
+    assert_eq!((steps, mem.compactions()), (0, 0));
+    assert_eq!(mem.lookup(0xDEAD_BEEF).unwrap(), stats, "nothing evicted");
+    let created: Vec<PathBuf> = files()
+        .into_iter()
+        .filter(|p| !before.contains(p))
+        .collect();
+    assert!(created.is_empty(), "in-memory journal created {created:?}");
 
     // The codec takes back only what it writes: a stored exposed-stall
     // field that disagrees with its cycle cause is rejected.
