@@ -1,9 +1,10 @@
 //! Chip-mode determinism: multi-SM runs against the *shared* L2/DRAM
 //! partitions must be exactly reproducible, independent of host-thread
 //! parallelism (`SUBWARP_JOBS`), and must aggregate per-SM statistics
-//! consistently. Chip stepping is serial within one run — the global event
-//! heap fixes the SM interleaving — so none of this may depend on the
-//! worker-pool width the surrounding sweep uses.
+//! consistently. A run's SMs may step on several threads, but the shared
+//! partition resolves their misses in a fixed global order, so none of
+//! this may depend on the stepping threads or the worker-pool width the
+//! surrounding sweep uses.
 
 use subwarp_core::{HierarchyConfig, MemBackendConfig, SiConfig, Simulator, SmConfig};
 use subwarp_workloads::{microbenchmark_with, MicroConfig};

@@ -59,6 +59,7 @@
 //! also returns the final [`MemoryImage`], read from each SM's functional
 //! memory after the run.
 
+mod chip;
 mod config;
 mod error;
 mod fault;

@@ -9,10 +9,10 @@ use crate::stats::{CycleCause, RunStats};
 use crate::trace::{EventKind, TraceEvent};
 use crate::warp::{lanes, IssueResult, MemKind, RtJob, WarpSim, WarpStatus};
 use crate::workload::Workload;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use subwarp_isa::{Program, Reg, Scoreboard};
-use subwarp_mem::{AccessKind, Cache, DataMemory, MemoryBackend, ServiceUnit};
+use subwarp_mem::{
+    AccessKind, Cache, ChipBackends, DataMemory, MemoryBackend, Partition, ServiceUnit,
+};
 
 /// Instruction-cache line size in bytes (8 instructions of 16 bytes).
 pub const ICACHE_LINE: u64 = 128;
@@ -29,6 +29,29 @@ struct MemResp {
     lanes: Vec<(usize, u64)>,
     dst: Reg,
     sb: Option<Scoreboard>,
+}
+
+/// A shared-partition miss issued but not yet resolved (see
+/// [`crate::chip`]).
+#[derive(Debug)]
+struct Deferred {
+    cycle: u64,
+    line: u64,
+    /// The `done` of the in-flight fill this miss may merge into
+    /// ([`MemoryBackend::merge_candidate`]); `u64::MAX` when there is none.
+    merge_by: u64,
+    /// Where the completion goes; `None` for a store, which waits on
+    /// nothing.
+    reply: Option<Reply>,
+}
+
+/// The writeback a deferred miss owes: the LSU or TEX unit, under the
+/// sequence number reserved at issue.
+#[derive(Debug)]
+struct Reply {
+    tex: bool,
+    seq: u64,
+    resp: MemResp,
 }
 
 /// A completed RT-core traversal.
@@ -77,7 +100,7 @@ impl Simulator {
     /// [`SimError::InvariantViolation`] (each carrying a
     /// [`StateSnapshot`]) when the run fails mid-flight.
     pub fn run(&self, workload: &Workload) -> Result<RunStats, SimError> {
-        Ok(self.run_inner(workload, None)?.0)
+        Ok(self.run_inner(workload, None, self.stepping_threads())?.0)
     }
 
     /// Runs `workload` with an attached [`Profiler`], streaming per-cycle
@@ -95,7 +118,9 @@ impl Simulator {
         workload: &Workload,
         profiler: &mut dyn Profiler,
     ) -> Result<RunStats, SimError> {
-        Ok(self.run_inner(workload, Some(profiler))?.0)
+        Ok(self
+            .run_inner(workload, Some(profiler), self.stepping_threads())?
+            .0)
     }
 
     /// Runs `workload`, additionally returning the final data-memory image:
@@ -112,32 +137,46 @@ impl Simulator {
         &self,
         workload: &Workload,
     ) -> Result<(RunStats, MemoryImage), SimError> {
-        let (stats, memories) = self.run_inner(workload, None)?;
-        let mut log = Vec::new();
-        for data in &memories {
-            data.for_each_written(|word, value| log.push((word << 3, value)));
+        self.run_image(workload, self.stepping_threads())
+    }
+
+    /// [`run_with_memory`](Self::run_with_memory) on `threads` stepping
+    /// threads.
+    fn run_image(
+        &self,
+        workload: &Workload,
+        threads: usize,
+    ) -> Result<(RunStats, MemoryImage), SimError> {
+        let (stats, memories) = self.run_inner(workload, None, threads)?;
+        Ok((stats, memory_image(&memories)))
+    }
+
+    /// Stepping threads for one run: `min(n_sms, SUBWARP_JOBS or the host
+    /// parallelism)`, or 1 inside a `subwarp_pool` worker, so a sweep of
+    /// chip runs does not oversubscribe the host.
+    fn stepping_threads(&self) -> usize {
+        if self.sm.n_sms == 1 || subwarp_pool::in_worker() {
+            1
+        } else {
+            self.sm.n_sms.min(subwarp_pool::default_jobs())
         }
-        Ok((stats, MemoryImage::from_log(log)))
     }
 
     /// The one run loop, for every SM count, backend and partition
-    /// setting: one backend per SM, stepped through a global min-heap keyed
-    /// by each SM's local clock — the unfinished SM with the smallest
-    /// `cycle` (ties broken by SM id) steps next.
+    /// setting: one backend per SM, stepped through lookahead epochs on
+    /// `threads` threads ([`crate::chip`]).
     ///
-    /// - **Determinism.** The interleaving is a pure function of the
-    ///   per-SM clocks, so every shared-backend `miss()` happens in a
-    ///   fixed order regardless of host thread count (`SUBWARP_JOBS`
-    ///   never enters — stepping is serial within one run). SMs that
-    ///   share nothing (one SM, the fixed stub, private hierarchies)
-    ///   cannot observe the interleaving at all.
-    /// - **Fast-forward soundness.** The heap keeps the global minimum
-    ///   nondecreasing, so `miss(now, ..)` calls arrive in nondecreasing
-    ///   `now` order chip-wide — the backend's analytic-at-issue contract
-    ///   holds exactly as in the single-SM case. An SM fast-forwards only
-    ///   through stretches where *it* issues nothing; other SMs'
-    ///   concurrent misses mutate shared state but cannot retroactively
-    ///   change this SM's already-computed completion times.
+    /// - **Determinism.** Misses to a shared partition are resolved at
+    ///   epoch barriers in global `(cycle, SM id, issue order)`, so every
+    ///   shared-backend fill sees the same partition state whatever the
+    ///   thread count. SMs that share nothing (one SM, the fixed stub,
+    ///   private hierarchies) call `miss()` inline and each runs to
+    ///   completion in one unbounded epoch.
+    /// - **Fast-forward soundness.** An SM fast-forwards only through
+    ///   stretches where *it* issues nothing, and never past its epoch
+    ///   horizon, before which none of its unresolved misses can complete.
+    /// - **Wall time.** With parallel stepping, `phase_nanos` of a multi-SM
+    ///   run sums every thread's time, so it can exceed the run's wall time.
     ///
     /// Returns the summed statistics and each SM's final functional memory,
     /// in SM-id order.
@@ -145,7 +184,21 @@ impl Simulator {
         &self,
         wl: &Workload,
         profiler: Option<&mut dyn Profiler>,
+        threads: usize,
     ) -> Result<(RunStats, Vec<DataMemory>), SimError> {
+        let (mut states, shared) = self.prepare(wl, profiler.is_some())?;
+        let epoch = shared.as_ref().map(Partition::lookahead);
+        crate::chip::step_chip(&mut states, shared, epoch, threads)?;
+        self.finish(wl, states, profiler)
+    }
+
+    /// Validates the inputs and builds every SM's initial state, with the
+    /// partition they share, if any.
+    fn prepare<'a>(
+        &'a self,
+        wl: &'a Workload,
+        profiled: bool,
+    ) -> Result<(Vec<SimState<'a>>, Option<Partition>), SimError> {
         self.sm
             .validate()
             .map_err(|what| SimError::InvalidConfig { what })?;
@@ -158,34 +211,41 @@ impl Simulator {
         })?;
         let n_sms = self.sm.n_sms;
         let (mem, latency) = (&self.sm.mem_backend, self.sm.miss_latency);
-        let backends = if self.sm.shared_partitions {
+        let chip = if self.sm.shared_partitions {
             mem.build_chip(latency, n_sms)
         } else {
-            (0..n_sms).map(|_| mem.build(latency)).collect()
+            ChipBackends {
+                backends: (0..n_sms).map(|_| mem.build(latency)).collect(),
+                shared: None,
+            }
         };
         // Each SM profiles into its own [`BufferingProfiler`], replayed SM by
         // SM after the run so the caller sees contiguous `begin_sm`/`end_sm`
         // streams.
-        let profiled = profiler.is_some();
-        let mut states: Vec<SimState> = backends
+        let deferring = chip.shared.is_some();
+        let states = chip
+            .backends
             .into_iter()
             .enumerate()
-            .map(|(sm_id, backend)| SimState::new(&self.sm, &self.si, wl, sm_id, profiled, backend))
+            .map(|(sm_id, backend)| {
+                let mut st = SimState::new(&self.sm, &self.si, wl, sm_id, profiled, backend);
+                st.deferring = deferring;
+                st
+            })
             .collect();
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| !st.finished())
-            .map(|(i, st)| Reverse((st.cycle, i)))
-            .collect();
-        while let Some(Reverse((_, i))) = heap.pop() {
-            let st = &mut states[i];
-            st.step()?;
-            if !st.finished() {
-                heap.push(Reverse((st.cycle, i)));
-            }
-        }
-        // Finalize in SM-id order, independent of the stepping order.
+        Ok((states, chip.shared))
+    }
+
+    /// Finalizes a finished run in SM-id order, independent of the stepping
+    /// order: checks conservation, sums the statistics and replays each
+    /// SM's profile.
+    fn finish(
+        &self,
+        wl: &Workload,
+        mut states: Vec<SimState<'_>>,
+        profiler: Option<&mut dyn Profiler>,
+    ) -> Result<(RunStats, Vec<DataMemory>), SimError> {
+        let n_sms = states.len();
         let mut total = RunStats::default();
         for (sm_id, st) in states.iter_mut().enumerate() {
             // Cycle-attribution conservation: every cycle this SM simulated
@@ -229,8 +289,18 @@ impl Simulator {
     }
 }
 
-/// All mutable state of one run.
-struct SimState<'a> {
+/// Every SM's final functional memory as one image; where two SMs wrote one
+/// word, the higher SM id wins.
+fn memory_image(memories: &[DataMemory]) -> MemoryImage {
+    let mut log = Vec::new();
+    for data in memories {
+        data.for_each_written(|word, value| log.push((word << 3, value)));
+    }
+    MemoryImage::from_log(log)
+}
+
+/// All mutable state of one SM's run.
+pub(crate) struct SimState<'a> {
     sm: &'a SmConfig,
     si: &'a SiConfig,
     wl: &'a Workload,
@@ -251,9 +321,21 @@ struct SimState<'a> {
     l1i: Cache,
     l1d: Cache,
     /// Timing backend for L1D-miss traffic (fixed stub or L2+MSHR+DRAM).
-    /// Mutated only when a miss is issued, so quiescent stretches cannot
-    /// change in-flight completions — the fast-forward relies on this.
+    /// Mutated only when a miss is issued or resolved, so quiescent
+    /// stretches cannot change in-flight completions — the fast-forward
+    /// relies on this.
     backend: Box<dyn MemoryBackend>,
+    /// Whether `backend` is a handle onto a chip-shared partition, whose
+    /// misses are deferred to the epoch barrier ([`crate::chip`]).
+    deferring: bool,
+    /// This SM's unresolved shared-partition misses, in issue order.
+    deferred: Vec<Deferred>,
+    /// The clock this SM must not pass before the next barrier: the
+    /// epoch's end, or an unresolved miss's early-merge bound.
+    horizon: u64,
+    /// The failure that stopped this SM, with the cycle of the failing
+    /// step.
+    failed: Option<(u64, SimError)>,
     data: DataMemory,
     lsu: ServiceUnit<MemResp>,
     tex: ServiceUnit<MemResp>,
@@ -291,8 +373,9 @@ struct SimState<'a> {
     /// selection, issue, launch, retire). Change-driven phases skip slots
     /// whose state provably did not change since they last ran.
     last_mutated: Vec<u64>,
-    /// Per-slot cycle at which `statuses[slot]` was last computed.
-    status_at: Vec<u64>,
+    /// Per-slot: mutated since `statuses[slot]` was last computed. Set by
+    /// `touch`, cleared by `recompute_status`.
+    stale: Vec<bool>,
     /// Per-slot earliest future cycle at which the cached status could
     /// change *without* a mutation (switch-penalty expiry, short-dep
     /// readiness) — `u64::MAX` when only a mutation can change it. Also the
@@ -407,6 +490,10 @@ impl<'a> SimState<'a> {
             l1i: Cache::new(sm.l1i),
             l1d: Cache::new(sm.l1d),
             backend,
+            deferring: false,
+            deferred: Vec::new(),
+            horizon: u64::MAX,
+            failed: None,
             data: DataMemory::new(wl.data_seed),
             lsu: ServiceUnit::new(),
             tex: ServiceUnit::new(),
@@ -423,7 +510,7 @@ impl<'a> SimState<'a> {
             line_groups: Vec::new(),
             lane_vec_pool: Vec::new(),
             last_mutated: vec![0; n_slots],
-            status_at: vec![0; n_slots],
+            stale: vec![false; n_slots],
             recheck_at: vec![u64::MAX; n_slots],
             dirty_now: vec![0; n_slots.div_ceil(64)],
             dirty_prev: vec![0; n_slots.div_ceil(64)],
@@ -449,6 +536,7 @@ impl<'a> SimState<'a> {
     #[inline]
     fn touch(&mut self, slot: usize) {
         self.last_mutated[slot] = self.cycle;
+        self.stale[slot] = true;
         self.dirty_now[slot >> 6] |= 1 << (slot & 63);
     }
 
@@ -475,6 +563,93 @@ impl<'a> SimState<'a> {
 
     fn finished(&self) -> bool {
         self.next_warp_id().is_none() && self.resident == 0
+    }
+
+    /// Steps until this SM finishes, fails, or its clock reaches the
+    /// epoch's end `hi` — or sooner, an unresolved miss's early-merge
+    /// bound ([`crate::chip`]). A failure is kept for the chip to order.
+    pub(crate) fn run_epoch(&mut self, hi: u64) {
+        if self.failed.is_some() {
+            return;
+        }
+        self.horizon = self.deferred.iter().map(|d| d.merge_by).fold(hi, u64::min);
+        while !self.finished() && self.cycle < self.horizon {
+            let at = self.cycle;
+            if let Err(e) = self.step() {
+                self.failed = Some((at, e));
+                return;
+            }
+        }
+    }
+
+    /// The cycle this SM steps next, unless it has finished or failed.
+    pub(crate) fn active_cycle(&self) -> Option<u64> {
+        (self.failed.is_none() && !self.finished()).then_some(self.cycle)
+    }
+
+    /// The cycle of the step that failed, if one did.
+    pub(crate) fn failed_at(&self) -> Option<u64> {
+        self.failed.as_ref().map(|(at, _)| *at)
+    }
+
+    /// Takes the failure [`failed_at`](Self::failed_at) reports.
+    pub(crate) fn take_failure(&mut self) -> SimError {
+        self.failed.take().expect("a failed SM keeps its error").1
+    }
+
+    /// Records a shared-partition miss for resolution at the barrier. The
+    /// writeback, if any, reserves its place in its unit now; a possible
+    /// early merge lowers the horizon to the fill it may merge into.
+    fn defer_miss(&mut self, line: u64, tex: bool, resp: Option<MemResp>) {
+        let merge_by = self
+            .backend
+            .merge_candidate(self.cycle, line)
+            .unwrap_or(u64::MAX);
+        self.horizon = self.horizon.min(merge_by);
+        let reply = resp.map(|resp| {
+            let unit = if tex { &mut self.tex } else { &mut self.lsu };
+            Reply {
+                tex,
+                seq: unit.reserve(),
+                resp,
+            }
+        });
+        self.deferred.push(Deferred {
+            cycle: self.cycle,
+            line,
+            merge_by,
+            reply,
+        });
+    }
+
+    /// `(index, cycle)` of each unresolved miss issued before `bound`.
+    pub(crate) fn deferred_before(&self, bound: u64) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.deferred
+            .iter()
+            .map(|d| d.cycle)
+            .take_while(move |&c| c < bound)
+            .enumerate()
+    }
+
+    /// Resolves unresolved miss `i` against the shared partition and
+    /// delivers its completion under the sequence number reserved at issue.
+    pub(crate) fn resolve_miss(&mut self, i: usize, partition: &mut Partition) {
+        let d = &mut self.deferred[i];
+        let done = self.backend.miss_shared(partition, d.cycle, d.line);
+        if let Some(Reply { tex, seq, resp }) = d.reply.take() {
+            let unit = if tex { &mut self.tex } else { &mut self.lsu };
+            unit.fill(seq, done, resp);
+        }
+    }
+
+    /// Drops the misses issued before `bound`, all resolved by now. A
+    /// profiled SM's counters then read the partition as it stands.
+    pub(crate) fn retire_resolved(&mut self, bound: u64, partition: &Partition) {
+        let n = self.deferred.partition_point(|d| d.cycle < bound);
+        self.deferred.drain(..n);
+        if self.profiler.is_some() {
+            self.backend.observe(partition);
+        }
     }
 
     /// Streams a thread-status transition of the warp resident in `slot`
@@ -632,6 +807,8 @@ impl<'a> SimState<'a> {
         if self.min_recheck != u64::MAX {
             clamp(self.min_recheck);
         }
+        // The epoch horizon: past it, an unresolved miss could complete.
+        clamp(self.horizon);
         let skipped = wake.saturating_sub(self.cycle);
         if skipped == 0 {
             return;
@@ -892,10 +1069,10 @@ impl<'a> SimState<'a> {
     /// Step 6: classify each resident warp's readiness.
     ///
     /// Change-driven: a slot is reclassified only when its warp mutated
-    /// since the cached status was computed, or the status's own timed
-    /// expiry (`recheck_at`) arrived. Every mutation costs at most two
-    /// recomputes (the mutation cycle and the one after); stable warps —
-    /// the overwhelming majority each cycle — cost nothing.
+    /// since the cached status was computed (`stale`), or the status's own
+    /// timed expiry (`recheck_at`) arrived. Every mutation costs one
+    /// recompute; stable warps — the overwhelming majority each cycle —
+    /// cost nothing.
     fn compute_statuses(&mut self) {
         let cycle = self.cycle;
         if cycle >= self.min_recheck {
@@ -904,8 +1081,7 @@ impl<'a> SimState<'a> {
             // horizon from the final per-slot values.
             let mut min = u64::MAX;
             for slot in 0..self.slots.len() {
-                if self.last_mutated[slot] >= self.status_at[slot] || cycle >= self.recheck_at[slot]
-                {
+                if self.stale[slot] || cycle >= self.recheck_at[slot] {
                     self.recompute_status(slot);
                 }
                 min = min.min(self.recheck_at[slot]);
@@ -914,7 +1090,7 @@ impl<'a> SimState<'a> {
         } else {
             // No expiry due: only mutated slots can have changed class.
             for_dirty_slots!(self, slot, {
-                if self.last_mutated[slot] >= self.status_at[slot] {
+                if self.stale[slot] {
                     self.recompute_status(slot);
                 }
             });
@@ -935,7 +1111,7 @@ impl<'a> SimState<'a> {
         };
         self.statuses[slot] = status;
         self.recheck_at[slot] = recheck;
-        self.status_at[slot] = self.cycle;
+        self.stale[slot] = false;
         self.min_recheck = self.min_recheck.min(recheck);
         // Conservative: bump even when the class is unchanged — the warp
         // state behind it (e.g. which scoreboards a TST entry watches) may
@@ -1100,32 +1276,43 @@ impl<'a> SimState<'a> {
                 // ask the memory backend for an absolute completion cycle
                 // (the fixed stub returns `cycle + miss_latency`; the
                 // hierarchical model charges L2 banks, MSHRs, and DRAM).
-                let (done, unit_is_tex) = match req.kind {
-                    MemKind::Shared => (cycle + self.sm.lds_latency, false),
-                    MemKind::Global => match self.l1d.access(line) {
-                        AccessKind::Hit => (cycle + self.sm.lsu_hit_latency, false),
-                        AccessKind::Miss => (self.backend.miss(cycle, line), false),
-                    },
-                    MemKind::Texture => match self.l1d.access(line) {
-                        AccessKind::Hit => (cycle + self.sm.tex_hit_latency, true),
-                        AccessKind::Miss => (self.backend.miss(cycle, line), true),
-                    },
+                let (hit, unit_is_tex) = match req.kind {
+                    MemKind::Shared => (Some(cycle + self.sm.lds_latency), false),
+                    MemKind::Global => (
+                        (self.l1d.access(line) == AccessKind::Hit)
+                            .then_some(cycle + self.sm.lsu_hit_latency),
+                        false,
+                    ),
+                    MemKind::Texture => (
+                        (self.l1d.access(line) == AccessKind::Hit)
+                            .then_some(cycle + self.sm.tex_hit_latency),
+                        true,
+                    ),
                 };
                 // Stores need no writeback; loads (dst or scoreboard) do.
-                if !req.dst.is_zero() || req.sb.is_some() {
-                    let resp = MemResp {
+                let resp = if !req.dst.is_zero() || req.sb.is_some() {
+                    Some(MemResp {
                         slot,
                         lanes: group,
                         dst: req.dst,
                         sb: req.sb,
-                    };
-                    if unit_is_tex {
-                        self.tex.push(done, resp);
-                    } else {
-                        self.lsu.push(done, resp);
-                    }
+                    })
                 } else {
                     self.lane_vec_pool.push(group);
+                    None
+                };
+                let done = match hit {
+                    Some(done) => done,
+                    None if self.deferring => {
+                        self.defer_miss(line, unit_is_tex, resp);
+                        continue;
+                    }
+                    None => self.backend.miss(cycle, line),
+                };
+                match resp {
+                    Some(resp) if unit_is_tex => self.tex.push(done, resp),
+                    Some(resp) => self.lsu.push(done, resp),
+                    None => {}
                 }
             }
             self.line_groups = groups;
@@ -1534,6 +1721,7 @@ mod tests {
     use crate::config::{SiConfig, SmConfig};
     use crate::workload::InitValue;
     use subwarp_isa::{Barrier, CmpOp, Operand, Pred, ProgramBuilder, Reg, Scoreboard};
+    use subwarp_mem::{CacheConfig, DramConfig, HierarchyConfig, MemBackendConfig, MemFaultConfig};
 
     /// A divergent load/store workload with far more warps than the SM has
     /// slots, so finishing it requires sustained retire→launch churn through
@@ -1574,6 +1762,177 @@ mod tests {
             st.step().unwrap();
         }
         st.stats
+    }
+
+    /// Same-line traffic within and across epochs. Every lane of a warp
+    /// loads one word, so each load is one line; each warp works on its
+    /// own line pairs `A`, `B`, fresh each pass; and on a one-line L1D a
+    /// load of `A` after `B` misses again.
+    ///
+    /// - *Probe passes*: load `A`, idle for a number of cycles that
+    ///   shrinks pass by pass, load `B` then `A` again and wait on `A`.
+    ///   Some second load of `A` lands just before the first fill
+    ///   completes, so it merges into a fill resolved in an earlier epoch
+    ///   and completes sooner than the lookahead: the early-merge horizon.
+    /// - *Burst passes*: loads of `A`, `B`, `A`, `B` with little waiting
+    ///   between them, which merge within an epoch and keep a small MSHR
+    ///   file full.
+    fn same_line_workload(n_warps: usize) -> Workload {
+        let mut b = ProgramBuilder::new();
+        let probe = b.label("probe");
+        let pad = b.label("pad");
+        let burst = b.label("burst");
+        b.imad(
+            Reg(2),
+            Reg(12),
+            Operand::imm(1 << 16),
+            Operand::imm(1 << 20),
+        );
+        b.mov(Reg(9), Operand::imm(40));
+        b.place(probe);
+        b.ldg(Reg(4), Reg(2), 0).wr_sb(Scoreboard(0));
+        b.mov(Reg(13), Operand::reg(9));
+        b.place(pad);
+        b.iadd(Reg(13), Reg(13), Operand::imm(-1));
+        b.isetp(Pred(1), Reg(13), Operand::imm(0), CmpOp::Gt);
+        b.bra(pad).pred(Pred(1), false);
+        b.ldg(Reg(6), Reg(2), 128).wr_sb(Scoreboard(2));
+        b.ldg(Reg(5), Reg(2), 0).wr_sb(Scoreboard(1));
+        b.iadd(Reg(7), Reg(5), Operand::reg(7))
+            .req_sb(Scoreboard(1));
+        b.iadd(Reg(7), Reg(4), Operand::reg(7))
+            .req_sb(Scoreboard(0));
+        b.iadd(Reg(7), Reg(6), Operand::reg(7))
+            .req_sb(Scoreboard(2));
+        b.iadd(Reg(2), Reg(2), Operand::imm(256));
+        b.iadd(Reg(9), Reg(9), Operand::imm(-1));
+        b.isetp(Pred(0), Reg(9), Operand::imm(0), CmpOp::Gt);
+        b.bra(probe).pred(Pred(0), false);
+        b.mov(Reg(9), Operand::imm(4));
+        b.place(burst);
+        b.ldg(Reg(4), Reg(2), 0).wr_sb(Scoreboard(0));
+        b.ldg(Reg(5), Reg(2), 128).wr_sb(Scoreboard(1));
+        b.ldg(Reg(6), Reg(2), 0).wr_sb(Scoreboard(2));
+        b.iadd(Reg(7), Reg(4), Operand::reg(7))
+            .req_sb(Scoreboard(0));
+        b.ldg(Reg(4), Reg(2), 128).wr_sb(Scoreboard(0));
+        b.iadd(Reg(7), Reg(5), Operand::reg(7))
+            .req_sb(Scoreboard(1));
+        b.iadd(Reg(7), Reg(6), Operand::reg(7))
+            .req_sb(Scoreboard(2));
+        b.iadd(Reg(7), Reg(4), Operand::reg(7))
+            .req_sb(Scoreboard(0));
+        b.stg(Reg(7), Reg(2), 0);
+        b.iadd(Reg(2), Reg(2), Operand::imm(256));
+        b.iadd(Reg(9), Reg(9), Operand::imm(-1));
+        b.isetp(Pred(0), Reg(9), Operand::imm(0), CmpOp::Gt);
+        b.bra(burst).pred(Pred(0), false);
+        b.exit();
+        Workload::new("same-line", b.build().unwrap(), n_warps)
+            .with_init(Reg(12), InitValue::WarpId)
+    }
+
+    /// A small shared hierarchy: 40-cycle epochs, DRAM fills 90–130
+    /// cycles after issue, and a four-entry MSHR file per SM.
+    fn tiny_hierarchy() -> HierarchyConfig {
+        HierarchyConfig {
+            l2: CacheConfig {
+                size_bytes: 4096,
+                line_bytes: 128,
+                ways: 2,
+            },
+            l2_banks: 4,
+            l2_hit_latency: 40,
+            l2_bank_occupancy: 2,
+            mshrs: 4,
+            dram: DramConfig {
+                channels: 2,
+                row_bytes: 1024,
+                row_hit_latency: 50,
+                row_miss_latency: 90,
+                burst_cycles: 4,
+            },
+        }
+    }
+
+    /// Runs `wl` at 1, 2, 3 and 8 stepping threads and asserts every
+    /// outcome — statistics and memory image, or the error with its cycle,
+    /// SM and snapshot — is the same, and the same as a lockstep run whose
+    /// one-cycle epochs resolve every miss before any SM steps past its
+    /// cycle. Returns the one-thread outcome.
+    fn same_at_every_thread_count(
+        sm: SmConfig,
+        si: SiConfig,
+        wl: &Workload,
+    ) -> Result<(RunStats, MemoryImage), SimError> {
+        let sim = Simulator::new(sm, si);
+        let serial = sim.run_image(wl, 1);
+        for threads in [2, 3, 8] {
+            assert_eq!(sim.run_image(wl, threads), serial, "{threads} threads");
+        }
+        let lockstep = sim.prepare(wl, false).and_then(|(mut states, shared)| {
+            crate::chip::step_chip(&mut states, shared, Some(1), 1)?;
+            let (stats, memories) = sim.finish(wl, states, None)?;
+            Ok((stats, memory_image(&memories)))
+        });
+        assert_eq!(lockstep, serial, "lockstep");
+        serial
+    }
+
+    #[test]
+    fn nine_sms_on_a_shared_hierarchy_step_alike_on_any_thread_count() {
+        let sm = SmConfig::turing_like()
+            .with_mem_backend(MemBackendConfig::Hierarchical(
+                HierarchyConfig::turing_like(),
+            ))
+            .with_n_sms(9);
+        let (stats, _) = same_at_every_thread_count(sm, SiConfig::best(), &churn_workload())
+            .expect("the churn workload completes");
+        assert_eq!(stats.per_sm.len(), 9);
+        assert!(stats.mem.l2.hits + stats.mem.l2.misses > 0);
+    }
+
+    #[test]
+    fn early_merges_and_full_mshr_files_step_alike_on_any_thread_count() {
+        let mut sm = SmConfig::turing_like()
+            .with_mem_backend(MemBackendConfig::Hierarchical(tiny_hierarchy()))
+            .with_n_sms(3);
+        sm.l1d = CacheConfig {
+            size_bytes: 128,
+            line_bytes: 128,
+            ways: 1,
+        };
+        let (stats, _) = same_at_every_thread_count(sm, SiConfig::best(), &same_line_workload(6))
+            .expect("the same-line workload completes");
+        assert!(stats.mem.mshr_merges > 0, "{:?}", stats.mem);
+        assert_eq!(stats.mem.mshr_high_water, tiny_hierarchy().mshrs);
+    }
+
+    #[test]
+    fn a_faulty_chip_fails_alike_on_any_thread_count() {
+        let faulty = MemBackendConfig::Faulty {
+            fault: MemFaultConfig {
+                seed: 3,
+                drop_per_mille: 20,
+                ..MemFaultConfig::default()
+            },
+            inner: Box::new(MemBackendConfig::Hierarchical(tiny_hierarchy())),
+        };
+        let sm = SmConfig::turing_like()
+            .with_mem_backend(faulty)
+            .with_n_sms(4);
+        let err = same_at_every_thread_count(sm, SiConfig::best(), &churn_workload())
+            .expect_err("dropped fills deadlock the chip");
+        assert!(matches!(err, SimError::Deadlock { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_fixed_chip_steps_alike_on_any_thread_count() {
+        let sm = SmConfig::turing_like().with_n_sms(4);
+        let (stats, image) = same_at_every_thread_count(sm, SiConfig::best(), &churn_workload())
+            .expect("the churn workload completes");
+        assert_eq!(stats.per_sm.len(), 4);
+        assert!(!image.is_empty());
     }
 
     /// Pool-reuse regression: an SM whose warps are recycled through the

@@ -143,6 +143,8 @@ pub struct RunStats {
     /// [`SmConfig::profile_phases`](crate::SmConfig::profile_phases) — the
     /// clock reads are skipped entirely otherwise, so ordinary runs (and the
     /// determinism tests that compare whole `RunStats` values) see zeros.
+    /// A multi-SM run sums every SM's time; its SMs may step on several
+    /// threads at once, so the sum can exceed the run's wall time.
     pub phase_nanos: [u64; N_PHASES],
     /// Per-SM statistics, indexed by SM id, for multi-SM runs (empty for a
     /// single SM, where the aggregate *is* the SM). Each entry is that SM's

@@ -329,12 +329,14 @@ pub fn config_grid() -> Vec<(String, SmConfig, SiConfig)> {
     grid
 }
 
-/// A reproducible oracle failure: the seed to replay, the configuration
-/// that disagreed with the baseline, and what differed.
+/// A reproducible oracle failure: the seed to replay, the oracle that
+/// failed, the configuration that disagreed, and what differed.
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// Seed whose generated program exposed the mismatch.
     pub seed: u64,
+    /// The check that failed; the replay command re-runs this one.
+    pub oracle: Oracle,
     /// Label of the disagreeing configuration (from [`config_grid`]).
     pub config: String,
     /// Human-readable description of the first difference.
@@ -343,9 +345,13 @@ pub struct Divergence {
 
 impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let flag = match self.oracle {
+            Oracle::Baseline => "",
+            Oracle::TraceParity => " --trace-parity",
+        };
         write!(
             f,
-            "seed {} under `{}`: {} (replay: cargo run -p subwarp-fuzz -- --seed {} --iters 1)",
+            "seed {} under `{}`: {} (replay: cargo run -p subwarp-fuzz -- --seed {} --iters 1{flag})",
             self.seed, self.config, self.what, self.seed
         )
     }
@@ -412,6 +418,7 @@ pub fn check_seed_with_jobs(
     let wl = random_workload(seed);
     let fail = |config: &str, what: String| Divergence {
         seed,
+        oracle: Oracle::Baseline,
         config: config.into(),
         what,
     };
@@ -473,6 +480,7 @@ pub fn check_seed_trace_parity(
 ) -> Result<(), Divergence> {
     let fail = |config: &str, what: String| Divergence {
         seed,
+        oracle: Oracle::TraceParity,
         config: config.into(),
         what,
     };
@@ -534,11 +542,30 @@ pub fn check_seed_trace_parity(
 
 // ------------------------------------------------- resilient campaigns
 
-/// A per-seed check with a worker count, adding its runs to the report and
-/// returning the first mismatch: [`check_seed_with_jobs`] (SI configurations
-/// against the baseline) or [`check_seed_trace_parity`] (trace replay
-/// against direct execution).
-pub type Oracle = fn(u64, &mut FuzzReport, usize) -> Result<(), Divergence>;
+/// A per-seed differential check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Oracle {
+    /// [`check_seed_with_jobs`]: SI configurations against the baseline.
+    Baseline,
+    /// [`check_seed_trace_parity`]: trace replay against direct execution.
+    TraceParity,
+}
+
+impl Oracle {
+    /// Checks `seed` on `workers` threads, adding its runs to `report` and
+    /// returning the first mismatch.
+    pub fn check(
+        self,
+        seed: u64,
+        report: &mut FuzzReport,
+        workers: usize,
+    ) -> Result<(), Divergence> {
+        match self {
+            Oracle::Baseline => check_seed_with_jobs(seed, report, workers),
+            Oracle::TraceParity => check_seed_trace_parity(seed, report, workers),
+        }
+    }
+}
 
 /// One seed's completed differential check: its contribution to the
 /// campaign counters plus the divergence it exposed, if any.
@@ -563,6 +590,9 @@ fn outcome_from_json(v: &Value) -> Option<SeedOutcome> {
         "ok" => None,
         "fail" => Some(Divergence {
             seed,
+            // The journal is one oracle's; the campaign that restores the
+            // outcome names it (`run_fuzz_resilient`).
+            oracle: Oracle::Baseline,
             config: v.str_field("config")?.to_owned(),
             what: v.str_field("what")?.to_owned(),
         }),
@@ -693,9 +723,13 @@ pub fn run_fuzz_resilient(
 
     let mut outcomes: Vec<Option<SeedOutcome>> = (0..iters)
         .map(|i| {
-            journal
+            let mut o = journal
                 .as_ref()
-                .and_then(|j| j.lookup(seed.wrapping_add(i)))
+                .and_then(|j| j.lookup(seed.wrapping_add(i)))?;
+            if let Some(d) = o.failure.as_mut() {
+                d.oracle = oracle;
+            }
+            Some(o)
         })
         .collect();
     let restored = outcomes.iter().filter(|o| o.is_some()).count() as u64;
@@ -720,7 +754,7 @@ pub fn run_fuzz_resilient(
             move |k, _attempt| {
                 let s = seed.wrapping_add(job_pending[k]);
                 let mut r = FuzzReport::default();
-                let failure = oracle(s, &mut r, 1).err();
+                let failure = oracle.check(s, &mut r, 1).err();
                 let outcome = SeedOutcome {
                     seed: s,
                     runs: r.runs,
@@ -745,6 +779,7 @@ pub fn run_fuzz_resilient(
                     instructions: 0,
                     failure: Some(Divergence {
                         seed: s,
+                        oracle,
                         config: "<supervisor>".into(),
                         what: e.cause.to_string(),
                     }),
@@ -802,10 +837,7 @@ mod tests {
         let jobs = subwarp_pool::default_jobs();
         // The trace-parity oracle runs every configuration twice (direct +
         // replay), the baseline one once.
-        for (oracle, runs_per_config) in [
-            (check_seed_with_jobs as Oracle, 1),
-            (check_seed_trace_parity, 2),
-        ] {
+        for (oracle, runs_per_config) in [(Oracle::Baseline, 1), (Oracle::TraceParity, 2)] {
             let c = run_fuzz_resilient(oracle, 0xF00D, 4, jobs, None, None);
             assert!(c.failures.is_empty(), "{:?}", c.failures);
             assert_eq!(c.report.programs, 4);
@@ -819,13 +851,22 @@ mod tests {
 
     #[test]
     fn divergence_display_names_the_seed_and_replay_command() {
-        let d = Divergence {
+        let mut d = Divergence {
             seed: 7,
+            oracle: Oracle::Baseline,
             config: "dws".into(),
             what: "x".into(),
         };
-        let s = d.to_string();
-        assert!(s.contains("seed 7") && s.contains("--seed 7"), "{s}");
+        assert_eq!(
+            d.to_string(),
+            "seed 7 under `dws`: x (replay: cargo run -p subwarp-fuzz -- --seed 7 --iters 1)"
+        );
+        d.oracle = Oracle::TraceParity;
+        assert_eq!(
+            d.to_string(),
+            "seed 7 under `dws`: x \
+             (replay: cargo run -p subwarp-fuzz -- --seed 7 --iters 1 --trace-parity)"
+        );
     }
 
     fn temp_journal_path(tag: &str) -> std::path::PathBuf {
@@ -838,7 +879,7 @@ mod tests {
         for s in 0xF00D..0xF00D + 4 {
             check_seed_with_jobs(s, &mut serial, 1).expect("schedules must agree");
         }
-        let resilient = run_fuzz_resilient(check_seed_with_jobs, 0xF00D, 4, 2, None, None);
+        let resilient = run_fuzz_resilient(Oracle::Baseline, 0xF00D, 4, 2, None, None);
         assert!(resilient.failures.is_empty());
         assert_eq!(resilient.report, serial);
         assert_eq!(resilient.restored, 0);
@@ -846,8 +887,8 @@ mod tests {
 
     #[test]
     fn resilient_serial_and_parallel_agree() {
-        let a = run_fuzz_resilient(check_seed_with_jobs, 99, 6, 1, None, None);
-        let b = run_fuzz_resilient(check_seed_with_jobs, 99, 6, 4, None, None);
+        let a = run_fuzz_resilient(Oracle::Baseline, 99, 6, 1, None, None);
+        let b = run_fuzz_resilient(Oracle::Baseline, 99, 6, 4, None, None);
         assert_eq!(a.report, b.report);
         assert_eq!(a.failures.len(), b.failures.len());
     }
@@ -871,6 +912,7 @@ mod tests {
                 instructions: 55,
                 failure: Some(Divergence {
                     seed: 4,
+                    oracle: Oracle::Baseline,
                     config: "dws \"quoted\"".into(),
                     what: "line1\nline2\tend".into(),
                 }),
@@ -894,14 +936,14 @@ mod tests {
         let path = temp_journal_path("resume");
         let _ = std::fs::remove_file(&path);
         // Uninterrupted reference campaign (no journal).
-        let full = run_fuzz_resilient(check_seed_with_jobs, 0xBEEF, 5, 2, None, None);
+        let full = run_fuzz_resilient(Oracle::Baseline, 0xBEEF, 5, 2, None, None);
         // First leg: only the first 3 seeds, journaled.
         let j = std::sync::Arc::new(FuzzJournal::open(&path).unwrap());
-        run_fuzz_resilient(check_seed_with_jobs, 0xBEEF, 3, 2, None, Some(j));
+        run_fuzz_resilient(Oracle::Baseline, 0xBEEF, 3, 2, None, Some(j));
         // Second leg: full range with the same journal resumes the rest.
         let j = std::sync::Arc::new(FuzzJournal::open(&path).unwrap());
         assert_eq!(j.restored(), 3);
-        let resumed = run_fuzz_resilient(check_seed_with_jobs, 0xBEEF, 5, 2, None, Some(j));
+        let resumed = run_fuzz_resilient(Oracle::Baseline, 0xBEEF, 5, 2, None, Some(j));
         assert_eq!(resumed.restored, 3);
         assert_eq!(resumed.report, full.report);
         assert_eq!(resumed.failures.len(), full.failures.len());

@@ -35,10 +35,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use subwarp_fuzz::{
-    check_seed_trace_parity, check_seed_with_jobs, config_grid, random_workload,
-    run_fuzz_resilient, FuzzJournal, Oracle,
-};
+use subwarp_fuzz::{config_grid, random_workload, run_fuzz_resilient, FuzzJournal, Oracle};
 
 const DEFAULT_JOURNAL: &str = "results/fuzz_journal.jsonl";
 
@@ -108,12 +105,12 @@ fn main() {
             "# trace-parity: {iters} programs from seed {seed}, export/replay across \
              {n_configs} configurations ({jobs} jobs)"
         );
-        check_seed_trace_parity
+        Oracle::TraceParity
     } else {
         eprintln!(
             "# fuzzing {iters} programs from seed {seed} across {n_configs} configurations ({jobs} jobs)"
         );
-        check_seed_with_jobs
+        Oracle::Baseline
     };
     let t0 = std::time::Instant::now();
 

@@ -18,21 +18,50 @@
 //! issue, a quiescent SM stretch cannot change future completions — which is
 //! exactly what the event-driven fast-forward in `subwarp-core` needs, via
 //! [`MemoryBackend::next_event`].
+//!
+//! A chip whose SMs share one [`Partition`] splits each miss into a request
+//! and a reply: the SM records the miss when it issues it, and the chip
+//! resolves it later through [`MemoryBackend::miss_shared`], in global
+//! `(cycle, SM id, issue order)`. The answer can wait because no shared
+//! miss completes sooner than [`Partition::lookahead`] cycles after issue,
+//! except a merge into a fill already in the SM's own MSHR file
+//! ([`MemoryBackend::merge_candidate`]).
 
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats};
-use std::sync::{Arc, Mutex};
 use subwarp_prng::splitmix64;
 
 /// Timing model for memory traffic that misses the SM-local L1.
 ///
 /// Implementations convert an L1 miss issued at cycle `now` into an absolute
 /// completion cycle. They never carry data — only time.
-pub trait MemoryBackend: std::fmt::Debug {
+pub trait MemoryBackend: std::fmt::Debug + Send {
     /// Issues one L1-miss fill request for cache line `line` at cycle `now`
     /// and returns the absolute cycle the fill completes (always `> now`).
     ///
     /// Calls must be made with non-decreasing `now` (the SM clock).
+    ///
+    /// # Panics
+    /// A handle onto a chip-shared [`Partition`] panics: its misses go
+    /// through [`miss_shared`](Self::miss_shared).
     fn miss(&mut self, now: u64, line: u64) -> u64;
+
+    /// [`miss`](Self::miss) for a handle onto the chip-shared `partition`
+    /// (see [`MemBackendConfig::build_chip`]). The chip calls it for every
+    /// SM's misses in global `(now, SM id, issue order)`. Backends that
+    /// share nothing ignore `partition`.
+    fn miss_shared(&mut self, partition: &mut Partition, now: u64, line: u64) -> u64 {
+        let _ = partition;
+        self.miss(now, line)
+    }
+
+    /// The completion cycle of the in-flight fill that a miss to `line` at
+    /// `now` may merge into, if this SM's MSHR file holds one. This is the
+    /// only way a shared-partition miss can complete sooner than
+    /// [`Partition::lookahead`] after issue. Whether it merges is decided
+    /// when the miss is resolved.
+    fn merge_candidate(&self, _now: u64, _line: u64) -> Option<u64> {
+        None
+    }
 
     /// Earliest in-flight completion strictly after `now`, if any.
     ///
@@ -49,6 +78,11 @@ pub trait MemoryBackend: std::fmt::Debug {
     fn counters(&self, _now: u64) -> Option<MemCounters> {
         None
     }
+
+    /// Shows a handle onto a chip-shared `partition` the partition's
+    /// current state, which its [`counters`](Self::counters) report until
+    /// the next call. Backends that share nothing ignore it.
+    fn observe(&mut self, _partition: &Partition) {}
 }
 
 /// Counters accumulated by a [`MemoryBackend`] over one SM's run.
@@ -172,23 +206,41 @@ impl MemBackendConfig {
     }
 
     /// Instantiates one backend per SM of an `n_sms`-SM chip. For
-    /// [`MemBackendConfig::Hierarchical`] the returned handles *share* one
-    /// memory partition — L2 content, bank occupancy, DRAM row state, and
-    /// channel bandwidth are contended across all SMs — while each handle
-    /// keeps its own per-SM MSHR file and counters. Shareless backends (the
-    /// fixed stub) come back as `n_sms` independent instances.
-    pub fn build_chip(&self, fixed_latency: u64, n_sms: usize) -> Vec<Box<dyn MemoryBackend>> {
+    /// [`MemBackendConfig::Hierarchical`] with two or more SMs the handles
+    /// *share* one [`Partition`] — L2 content, bank occupancy, DRAM row
+    /// state, and channel bandwidth are contended across all SMs — while
+    /// each handle keeps its own per-SM MSHR file and counters. Shareless
+    /// backends (the fixed stub, and any one-SM chip) come back as `n_sms`
+    /// independent instances with no partition.
+    pub fn build_chip(&self, fixed_latency: u64, n_sms: usize) -> ChipBackends {
         match self {
-            MemBackendConfig::Hierarchical(h) => HierarchicalBackend::new_shared(h.clone(), n_sms)
-                .into_iter()
-                .map(|b| Box::new(b) as Box<dyn MemoryBackend>)
-                .collect(),
-            MemBackendConfig::Faulty { fault, inner } => inner
-                .build_chip(fixed_latency, n_sms)
-                .into_iter()
-                .map(|b| Box::new(FaultyBackend::new(fault.clone(), b)) as Box<dyn MemoryBackend>)
-                .collect(),
-            MemBackendConfig::Fixed => (0..n_sms).map(|_| self.build(fixed_latency)).collect(),
+            MemBackendConfig::Hierarchical(h) if n_sms > 1 => {
+                let (handles, partition) = HierarchicalBackend::new_shared(h.clone(), n_sms);
+                ChipBackends {
+                    backends: handles
+                        .into_iter()
+                        .map(|b| Box::new(b) as Box<dyn MemoryBackend>)
+                        .collect(),
+                    shared: Some(partition),
+                }
+            }
+            MemBackendConfig::Faulty { fault, inner } => {
+                let chip = inner.build_chip(fixed_latency, n_sms);
+                ChipBackends {
+                    backends: chip
+                        .backends
+                        .into_iter()
+                        .map(|b| {
+                            Box::new(FaultyBackend::new(fault.clone(), b)) as Box<dyn MemoryBackend>
+                        })
+                        .collect(),
+                    shared: chip.shared,
+                }
+            }
+            _ => ChipBackends {
+                backends: (0..n_sms).map(|_| self.build(fixed_latency)).collect(),
+                shared: None,
+            },
         }
     }
 
@@ -204,6 +256,18 @@ impl MemBackendConfig {
             }
         }
     }
+}
+
+/// The memory side of one chip: a backend per SM and the partition they
+/// share, if any ([`MemBackendConfig::build_chip`]).
+#[derive(Debug)]
+pub struct ChipBackends {
+    /// One backend per SM, in SM-id order.
+    pub backends: Vec<Box<dyn MemoryBackend>>,
+    /// The partition every backend is a handle onto; their misses resolve
+    /// through [`MemoryBackend::miss_shared`]. `None` when the SMs share
+    /// nothing and each backend answers [`MemoryBackend::miss`] alone.
+    pub shared: Option<Partition>,
 }
 
 /// Geometry and latencies of the [`HierarchicalBackend`].
@@ -370,14 +434,16 @@ struct MshrEntry {
     done: u64,
 }
 
-/// Chip-shared memory-partition state: everything downstream of the per-SM
-/// MSHR files. One instance exists per chip (or per backend in single-SM
-/// use), and every SM's [`HierarchicalBackend`] handle contends for it —
-/// bank occupancy, L2 content, DRAM row state, and channel bandwidth are
-/// all globally visible side effects of each fill.
+/// Memory-partition state: everything downstream of the per-SM MSHR files.
+/// A private [`HierarchicalBackend`] owns one; a chip of two or more SMs
+/// shares one among its handles
+/// ([`HierarchicalBackend::new_shared`]), so bank occupancy, L2 content,
+/// DRAM row state, and channel bandwidth are globally visible side effects
+/// of each fill.
 #[derive(Debug)]
-struct PartitionCore {
+pub struct Partition {
     l2: Cache,
+    l2_hit_latency: u64,
     /// Cycle each L2 bank is next free.
     bank_free: Vec<u64>,
     /// Cycle each DRAM channel's data bus is next free.
@@ -386,89 +452,38 @@ struct PartitionCore {
     open_row: Vec<Option<u64>>,
 }
 
-impl PartitionCore {
-    fn new(cfg: &HierarchyConfig) -> PartitionCore {
+impl Partition {
+    fn new(cfg: &HierarchyConfig) -> Partition {
         let channels = cfg.dram.channels;
-        PartitionCore {
+        Partition {
             l2: Cache::new(cfg.l2),
+            l2_hit_latency: cfg.l2_hit_latency,
             bank_free: vec![0; cfg.l2_banks],
             chan_free: vec![0; channels],
             open_row: vec![None; channels],
         }
     }
+
+    /// The chip's lookahead: a miss issued at cycle `c` completes no sooner
+    /// than `c + lookahead()` — the L2 hit latency — unless it merges into
+    /// a [`MemoryBackend::merge_candidate`].
+    pub fn lookahead(&self) -> u64 {
+        self.l2_hit_latency
+    }
 }
 
-/// Cycle-level L2 + MSHR + DRAM-channel timing model.
-///
-/// Completion times are computed analytically when the miss is issued (see
-/// the module docs), which keeps the model a few hundred lines while still
-/// capturing the load-dependent effects that matter to Subwarp Interleaving:
-/// bank conflicts, MSHR pressure, row locality, and channel bandwidth.
-///
-/// Each instance is one SM's *handle* onto a memory partition (L2 banks,
-/// DRAM rows and channels): the MSHR file and all counters are per-SM (per
-/// the paper's per-SM MSHR model), while the partition behind them may be
-/// shared chip-wide via
-/// [`HierarchicalBackend::new_shared`]. Same-line requests from *different*
-/// SMs do not MSHR-merge — the second SM sees an L2 hit instead, because the
-/// first SM's access already allocated the line.
-///
-/// The mutex is uncontended by construction: the chip scheduler steps SMs
-/// serially in global-time order, so it only buys `Send` handles and
-/// aliasing-free shared state, not parallelism.
+/// One SM's side of the hierarchy: its MSHR file and counters.
 #[derive(Debug)]
-pub struct HierarchicalBackend {
+struct Client {
     cfg: HierarchyConfig,
-    core: Arc<Mutex<PartitionCore>>,
-    /// This client's share of the shared L2's hit/miss traffic.
+    /// This client's share of the L2's hit/miss traffic.
     l2_stats: CacheStats,
     /// Outstanding L2-miss fills, pruned lazily as time advances.
     mshrs: Vec<MshrEntry>,
     stats: MemBackendStats,
 }
 
-impl HierarchicalBackend {
-    /// Creates an empty hierarchy (cold L2, closed rows, idle channels)
-    /// with a private partition — the single-SM configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails [`HierarchyConfig::validate`].
-    pub fn new(cfg: HierarchyConfig) -> HierarchicalBackend {
-        let mut v = HierarchicalBackend::new_shared(cfg, 1);
-        v.pop().expect("new_shared(cfg, 1) yields one backend")
-    }
-
-    /// Creates `n` backend handles sharing one empty memory partition: each
-    /// SM gets its own MSHR file and counters, but bank occupancy, L2
-    /// content, row state, and channel bandwidth are contended chip-wide.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails [`HierarchyConfig::validate`].
-    pub fn new_shared(cfg: HierarchyConfig, n: usize) -> Vec<HierarchicalBackend> {
-        if let Err(what) = cfg.validate() {
-            panic!("invalid hierarchy config: {what}");
-        }
-        let core = Arc::new(Mutex::new(PartitionCore::new(&cfg)));
-        let channels = cfg.dram.channels;
-        (0..n)
-            .map(|_| HierarchicalBackend {
-                cfg: cfg.clone(),
-                core: Arc::clone(&core),
-                l2_stats: CacheStats::default(),
-                mshrs: Vec::with_capacity(cfg.mshrs),
-                stats: MemBackendStats {
-                    channel_busy_cycles: vec![0; channels],
-                    ..MemBackendStats::default()
-                },
-            })
-            .collect()
-    }
-
-    /// The configuration this backend was built from.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.cfg
-    }
-
+impl Client {
     fn bank_of(&self, line: u64) -> usize {
         ((line / self.cfg.l2.line_bytes) as usize) % self.cfg.l2_banks
     }
@@ -483,10 +498,8 @@ impl HierarchicalBackend {
     fn row_of(&self, line: u64) -> u64 {
         line / (self.cfg.dram.row_bytes * self.cfg.dram.channels as u64)
     }
-}
 
-impl MemoryBackend for HierarchicalBackend {
-    fn miss(&mut self, now: u64, line: u64) -> u64 {
+    fn miss(&mut self, part: &mut Partition, now: u64, line: u64) -> u64 {
         self.stats.requests += 1;
         self.mshrs.retain(|e| e.done > now);
 
@@ -499,15 +512,13 @@ impl MemoryBackend for HierarchicalBackend {
             return e.done;
         }
 
-        let mut core = self.core.lock().expect("partition core lock");
-
         // L2 bank: accesses to the same bank serialize on its occupancy —
         // across every SM sharing the partition.
         let bank = self.bank_of(line);
-        let start = now.max(core.bank_free[bank]);
-        core.bank_free[bank] = start + self.cfg.l2_bank_occupancy;
+        let start = now.max(part.bank_free[bank]);
+        part.bank_free[bank] = start + self.cfg.l2_bank_occupancy;
 
-        if core.l2.access(line) == AccessKind::Hit {
+        if part.l2.access(line) == AccessKind::Hit {
             self.l2_stats.hits += 1;
             let done = start + self.cfg.l2_hit_latency;
             self.stats.fills += 1;
@@ -538,17 +549,17 @@ impl MemoryBackend for HierarchicalBackend {
         let chan = self.channel_of(line);
         let row = self.row_of(line);
         let dram = &self.cfg.dram;
-        let dram_start = t.max(core.chan_free[chan]);
-        core.chan_free[chan] = dram_start + dram.burst_cycles;
+        let dram_start = t.max(part.chan_free[chan]);
+        part.chan_free[chan] = dram_start + dram.burst_cycles;
         self.stats.channel_busy_cycles[chan] += dram.burst_cycles;
-        let lat = if core.open_row[chan] == Some(row) {
+        let lat = if part.open_row[chan] == Some(row) {
             self.stats.row_hits += 1;
             dram.row_hit_latency
         } else {
             self.stats.row_misses += 1;
             dram.row_miss_latency
         };
-        core.open_row[chan] = Some(row);
+        part.open_row[chan] = Some(row);
         let done = dram_start + lat;
 
         self.mshrs.push(MshrEntry { line, done });
@@ -557,26 +568,136 @@ impl MemoryBackend for HierarchicalBackend {
         self.stats.total_fill_latency += done - now;
         done
     }
+}
+
+/// Cycle-level L2 + MSHR + DRAM-channel timing model.
+///
+/// Completion times are computed analytically when the miss is issued (see
+/// the module docs), which keeps the model a few hundred lines while still
+/// capturing the load-dependent effects that matter to Subwarp Interleaving:
+/// bank conflicts, MSHR pressure, row locality, and channel bandwidth.
+///
+/// Each instance is one SM's view of a memory [`Partition`] (L2 banks, DRAM
+/// rows and channels): the MSHR file and all counters are per-SM (per the
+/// paper's per-SM MSHR model). A private backend ([`new`](Self::new)) owns
+/// its partition and answers [`MemoryBackend::miss`]. A chip handle
+/// ([`new_shared`](Self::new_shared)) owns none: the chip hands it the
+/// shared partition in [`MemoryBackend::miss_shared`], one resolved miss
+/// at a time, so the partition needs no lock. Same-line requests from
+/// *different* SMs do not MSHR-merge — the second SM sees an L2 hit
+/// instead, because the first SM's access already allocated the line.
+#[derive(Debug)]
+pub struct HierarchicalBackend {
+    client: Client,
+    /// The partition this backend owns; `None` for a chip handle.
+    own: Option<Partition>,
+    /// A chip handle's copy of the shared partition's channel-free cycles,
+    /// as of the last [`MemoryBackend::observe`].
+    seen_chan_free: Vec<u64>,
+}
+
+impl HierarchicalBackend {
+    /// Creates an empty hierarchy (cold L2, closed rows, idle channels)
+    /// with a private partition — the single-SM configuration.
+    ///
+    /// # Panics
+    /// Panics if the configuration fails [`HierarchyConfig::validate`].
+    pub fn new(cfg: HierarchyConfig) -> HierarchicalBackend {
+        let (mut v, partition) = HierarchicalBackend::new_shared(cfg, 1);
+        let mut b = v.pop().expect("new_shared(cfg, 1) yields one backend");
+        b.own = Some(partition);
+        b
+    }
+
+    /// Creates `n` backend handles onto one empty memory partition, which
+    /// is returned beside them: each SM gets its own MSHR file and
+    /// counters, but bank occupancy, L2 content, row state, and channel
+    /// bandwidth are contended chip-wide.
+    ///
+    /// # Panics
+    /// Panics if the configuration fails [`HierarchyConfig::validate`].
+    pub fn new_shared(cfg: HierarchyConfig, n: usize) -> (Vec<HierarchicalBackend>, Partition) {
+        if let Err(what) = cfg.validate() {
+            panic!("invalid hierarchy config: {what}");
+        }
+        let partition = Partition::new(&cfg);
+        let channels = cfg.dram.channels;
+        let handles = (0..n)
+            .map(|_| HierarchicalBackend {
+                client: Client {
+                    cfg: cfg.clone(),
+                    l2_stats: CacheStats::default(),
+                    mshrs: Vec::with_capacity(cfg.mshrs),
+                    stats: MemBackendStats {
+                        channel_busy_cycles: vec![0; channels],
+                        ..MemBackendStats::default()
+                    },
+                },
+                own: None,
+                seen_chan_free: vec![0; channels],
+            })
+            .collect();
+        (handles, partition)
+    }
+
+    /// The configuration this backend was built from.
+    pub fn config(&self) -> &HierarchyConfig {
+        &self.client.cfg
+    }
+}
+
+impl MemoryBackend for HierarchicalBackend {
+    fn miss(&mut self, now: u64, line: u64) -> u64 {
+        let part = self
+            .own
+            .as_mut()
+            .expect("a chip handle's misses go through miss_shared");
+        self.client.miss(part, now, line)
+    }
+
+    fn miss_shared(&mut self, partition: &mut Partition, now: u64, line: u64) -> u64 {
+        self.client.miss(partition, now, line)
+    }
+
+    fn merge_candidate(&self, now: u64, line: u64) -> Option<u64> {
+        self.client
+            .mshrs
+            .iter()
+            .find(|e| e.line == line && e.done > now)
+            .map(|e| e.done)
+    }
 
     fn next_event(&self, now: u64) -> Option<u64> {
         // Per-client horizon: only this SM's own fills wake its warps, so
         // other SMs' in-flight traffic never clamps this SM's fast-forward.
-        self.mshrs.iter().map(|e| e.done).filter(|&d| d > now).min()
+        self.client
+            .mshrs
+            .iter()
+            .map(|e| e.done)
+            .filter(|&d| d > now)
+            .min()
     }
 
     fn stats(&self) -> MemBackendStats {
-        let mut s = self.stats.clone();
-        s.l2 = self.l2_stats;
+        let mut s = self.client.stats.clone();
+        s.l2 = self.client.l2_stats;
         s
     }
 
     fn counters(&self, now: u64) -> Option<MemCounters> {
-        let core = self.core.lock().expect("partition core lock");
+        let chan_free = self
+            .own
+            .as_ref()
+            .map_or(&self.seen_chan_free, |p| &p.chan_free);
         Some(MemCounters {
-            l2: self.l2_stats,
-            mshr_in_flight: self.mshrs.iter().filter(|e| e.done > now).count(),
-            busy_channels: core.chan_free.iter().filter(|&&f| f > now).count(),
+            l2: self.client.l2_stats,
+            mshr_in_flight: self.client.mshrs.iter().filter(|e| e.done > now).count(),
+            busy_channels: chan_free.iter().filter(|&&f| f > now).count(),
         })
+    }
+
+    fn observe(&mut self, partition: &Partition) {
+        self.seen_chan_free.copy_from_slice(&partition.chan_free);
     }
 }
 
@@ -668,23 +789,42 @@ impl FaultyBackend {
     fn draw(&self, line: u64) -> u64 {
         splitmix64(&mut (self.cfg.seed ^ splitmix64(&mut { self.fills_seen }) ^ line)) % 1000
     }
-}
 
-impl MemoryBackend for FaultyBackend {
-    fn miss(&mut self, now: u64, line: u64) -> u64 {
+    /// Drops, delays, or passes on one fill; `fill` asks the wrapped
+    /// backend for its completion.
+    fn fault(
+        &mut self,
+        now: u64,
+        line: u64,
+        fill: impl FnOnce(&mut dyn MemoryBackend) -> u64,
+    ) -> u64 {
         let draw = self.draw(line);
         self.fills_seen += 1;
         if (draw as u16) < self.cfg.drop_per_mille {
             self.dropped += 1;
             return now + DROPPED_FILL_HORIZON;
         }
-        let done = self.inner.miss(now, line);
+        let done = fill(&mut *self.inner);
         if ((draw as u16).wrapping_sub(self.cfg.drop_per_mille)) < self.cfg.delay_per_mille {
             self.delayed += 1;
             done + self.cfg.delay_cycles
         } else {
             done
         }
+    }
+}
+
+impl MemoryBackend for FaultyBackend {
+    fn miss(&mut self, now: u64, line: u64) -> u64 {
+        self.fault(now, line, |inner| inner.miss(now, line))
+    }
+
+    fn miss_shared(&mut self, partition: &mut Partition, now: u64, line: u64) -> u64 {
+        self.fault(now, line, |inner| inner.miss_shared(partition, now, line))
+    }
+
+    fn merge_candidate(&self, now: u64, line: u64) -> Option<u64> {
+        self.inner.merge_candidate(now, line)
     }
 
     fn next_event(&self, now: u64) -> Option<u64> {
@@ -700,6 +840,10 @@ impl MemoryBackend for FaultyBackend {
 
     fn counters(&self, now: u64) -> Option<MemCounters> {
         self.inner.counters(now)
+    }
+
+    fn observe(&mut self, partition: &Partition) {
+        self.inner.observe(partition);
     }
 }
 
@@ -951,14 +1095,17 @@ mod tests {
         // A 1-SM chip handle must reproduce the private backend exactly:
         // the `--sms 1` byte-identity guarantee rests on this.
         let mut private = HierarchicalBackend::new(tiny());
-        let mut shared = HierarchicalBackend::new_shared(tiny(), 1)
-            .pop()
-            .expect("one handle");
+        let (mut v, mut part) = HierarchicalBackend::new_shared(tiny(), 1);
+        let mut shared = v.pop().expect("one handle");
         let mut now = 0;
         for i in 0..300u64 {
             let line = ((i * 7) % 41) * 128;
-            assert_eq!(private.miss(now, line), shared.miss(now, line), "at {i}");
+            let merge = shared.merge_candidate(now, line);
+            let done = shared.miss_shared(&mut part, now, line);
+            assert_eq!(private.miss(now, line), done, "at {i}");
+            assert!(done >= now + part.lookahead() || merge == Some(done));
             assert_eq!(private.next_event(now), shared.next_event(now));
+            shared.observe(&part);
             assert_eq!(private.counters(now), shared.counters(now));
             now += i % 4;
         }
@@ -966,22 +1113,58 @@ mod tests {
     }
 
     #[test]
+    fn shared_misses_complete_no_sooner_than_the_lookahead_unless_they_merge() {
+        // The chip defers shared misses on this bound: L2 hits, DRAM fills,
+        // full-file waits and faulty drops/delays all land at least
+        // `lookahead` after issue; only a merge into an MSHR entry the SM
+        // already holds may land sooner, at that entry's `done`.
+        let mut cfg = tiny();
+        cfg.mshrs = 2;
+        let fault = MemFaultConfig {
+            seed: 5,
+            drop_per_mille: 50,
+            delay_per_mille: 100,
+            delay_cycles: 7,
+        };
+        let chip = MemBackendConfig::Faulty {
+            fault,
+            inner: Box::new(MemBackendConfig::Hierarchical(cfg)),
+        }
+        .build_chip(600, 3);
+        let (mut v, mut p) = (chip.backends, chip.shared.expect("shared"));
+        let mut now = 0;
+        for i in 0..900u64 {
+            let sm = (i % 3) as usize;
+            let line = ((i * 5) % 23) * 128;
+            let merge = v[sm].merge_candidate(now, line);
+            let done = v[sm].miss_shared(&mut p, now, line);
+            if done < now + p.lookahead() {
+                assert_eq!(merge, Some(done), "miss {i} at {now} completed at {done}");
+            }
+            now += i % 2;
+        }
+        let s: Vec<MemBackendStats> = v.iter().map(|b| b.stats()).collect();
+        assert!(s.iter().any(|s| s.mshr_merges > 0));
+        assert!(s.iter().any(|s| s.mshr_high_water == 2));
+    }
+
+    #[test]
     fn shared_clients_contend_for_banks_and_channels() {
         let cfg = tiny();
-        let mut v = HierarchicalBackend::new_shared(cfg.clone(), 2);
+        let (mut v, mut p) = HierarchicalBackend::new_shared(cfg.clone(), 2);
         let (mut b1, mut b0) = (v.pop().unwrap(), v.pop().unwrap());
         // Warm the same bank-0 lines in both clients' reach via client 0.
         let line_a = 0x0;
         let line_b = (cfg.l2_banks as u64) * cfg.l2.line_bytes; // also bank 0
         let mut t = 0;
         for &l in &[line_a, line_b] {
-            t = b0.miss(t, l).max(t) + 1;
+            t = b0.miss_shared(&mut p, t, l).max(t) + 1;
         }
         let now = t + 1000;
         // SM0 then SM1 hit the same bank at the same cycle: SM1 waits out
         // the occupancy SM0 charged to the *shared* bank.
-        let first = b0.miss(now, line_a);
-        let second = b1.miss(now, line_b);
+        let first = b0.miss_shared(&mut p, now, line_a);
+        let second = b1.miss_shared(&mut p, now, line_b);
         assert_eq!(first, now + cfg.l2_hit_latency);
         assert_eq!(second, now + cfg.l2_bank_occupancy + cfg.l2_hit_latency);
     }
@@ -992,14 +1175,14 @@ mod tests {
         cfg.dram.burst_cycles = 100; // starve bandwidth
         cfg.dram.row_miss_latency = cfg.dram.row_hit_latency;
         cfg.mshrs = 64;
-        let mut v = HierarchicalBackend::new_shared(cfg.clone(), 4);
+        let (mut v, mut p) = HierarchicalBackend::new_shared(cfg.clone(), 4);
         // One distinct line per SM, all on channel 0, all at cycle 0: the
         // shared data bus serializes the bursts across SMs.
         let stride = 256 * cfg.dram.channels as u64;
         let mut dones: Vec<u64> = v
             .iter_mut()
             .enumerate()
-            .map(|(i, b)| b.miss(0, 8 * stride + i as u64 * stride))
+            .map(|(i, b)| b.miss_shared(&mut p, 0, 8 * stride + i as u64 * stride))
             .collect();
         dones.sort_unstable();
         for w in dones.windows(2) {
@@ -1019,19 +1202,20 @@ mod tests {
     #[test]
     fn shared_l2_content_and_row_state_are_chip_visible() {
         let cfg = tiny();
-        let mut v = HierarchicalBackend::new_shared(cfg.clone(), 2);
+        let (mut v, mut p) = HierarchicalBackend::new_shared(cfg.clone(), 2);
         let (mut b1, mut b0) = (v.pop().unwrap(), v.pop().unwrap());
         // SM0 fills a line; once landed, SM1's access to it is an L2 hit —
         // no merge (MSHRs are per-SM), no second DRAM trip.
-        let done = b0.miss(0, 0x0);
-        let after = b1.miss(done + 1, 0x0);
+        let done = b0.miss_shared(&mut p, 0, 0x0);
+        assert_eq!(b1.merge_candidate(done, 0x0), None, "MSHRs are per-SM");
+        let after = b1.miss_shared(&mut p, done + 1, 0x0);
         assert_eq!(b1.stats().l2.hits, 1, "SM1 hits the line SM0 brought in");
         assert_eq!(b1.stats().mshr_merges, 0, "cross-SM requests never merge");
         assert_eq!(b1.stats().row_hits + b1.stats().row_misses, 0);
         assert!(after < done + 1 + cfg.dram.row_hit_latency);
         // Row state is shared too: SM0 opened the row, SM1's *miss* to a
         // different line in the same row is a row hit.
-        let done2 = b1.miss(0, 0x080); // same 1024B row, channel 0, new line
+        let done2 = b1.miss_shared(&mut p, 0, 0x080); // same 1024B row, channel 0, new line
         assert_eq!(b1.stats().row_hits, 1, "SM1 reuses SM0's open row");
         assert!(done2 > 0);
         // Per-client attribution sums to the shared cache's totals.
@@ -1042,15 +1226,22 @@ mod tests {
     #[test]
     fn build_chip_shares_hierarchical_and_isolates_fixed() {
         // Hierarchical chip handles share a partition: SM1 sees SM0's line.
-        let mut chip = MemBackendConfig::Hierarchical(tiny()).build_chip(600, 2);
-        let done = chip[0].miss(0, 0x0);
-        let _ = chip[1].miss(done + 1, 0x0);
-        assert_eq!(chip[1].stats().l2.hits, 1);
+        let chip = MemBackendConfig::Hierarchical(tiny()).build_chip(600, 2);
+        let (mut b, mut p) = (chip.backends, chip.shared.expect("a shared partition"));
+        assert_eq!(p.lookahead(), tiny().l2_hit_latency);
+        let done = b[0].miss_shared(&mut p, 0, 0x0);
+        let _ = b[1].miss_shared(&mut p, done + 1, 0x0);
+        assert_eq!(b[1].stats().l2.hits, 1);
+        // A one-SM chip shares nothing: its backend owns its partition.
+        let mut one = MemBackendConfig::Hierarchical(tiny()).build_chip(600, 1);
+        assert!(one.shared.is_none());
+        assert!(one.backends[0].miss(0, 0x0) > 0);
         // Fixed handles are independent stubs.
         let mut fixed = MemBackendConfig::Fixed.build_chip(600, 2);
-        assert_eq!(fixed[0].miss(0, 0x0), 600);
-        assert_eq!(fixed[1].miss(0, 0x0), 600);
-        assert_eq!(fixed[1].stats().requests, 1);
+        assert!(fixed.shared.is_none());
+        assert_eq!(fixed.backends[0].miss(0, 0x0), 600);
+        assert_eq!(fixed.backends[1].miss(0, 0x0), 600);
+        assert_eq!(fixed.backends[1].stats().requests, 1);
         // Faulty wraps each handle around the (possibly shared) inner.
         let faulty = MemBackendConfig::Faulty {
             fault: MemFaultConfig {
@@ -1059,7 +1250,9 @@ mod tests {
             },
             inner: Box::new(MemBackendConfig::Hierarchical(tiny())),
         };
-        assert_eq!(faulty.build_chip(600, 3).len(), 3);
+        let chip = faulty.build_chip(600, 3);
+        assert_eq!(chip.backends.len(), 3);
+        assert!(chip.shared.is_some());
     }
 
     #[test]

@@ -32,8 +32,9 @@ mod data;
 mod service;
 
 pub use backend::{
-    DramConfig, FaultyBackend, FixedLatencyBackend, HierarchicalBackend, HierarchyConfig,
-    MemBackendConfig, MemBackendStats, MemCounters, MemFaultConfig, MemoryBackend,
+    ChipBackends, DramConfig, FaultyBackend, FixedLatencyBackend, HierarchicalBackend,
+    HierarchyConfig, MemBackendConfig, MemBackendStats, MemCounters, MemFaultConfig, MemoryBackend,
+    Partition,
 };
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats};
 pub use data::DataMemory;

@@ -6,6 +6,11 @@
 //! never block each other (the paper verifies its workloads are not
 //! bandwidth-limited, §IV-A), but callers can rate-limit admission using
 //! [`ServiceUnit::in_flight`].
+//!
+//! A request whose completion cycle is not known yet (a miss the chip
+//! resolves at an epoch barrier) [`reserve`](ServiceUnit::reserve)s its
+//! admission slot when it is issued and [`fill`](ServiceUnit::fill)s it once
+//! the cycle is known, so same-cycle completions still pop in issue order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -52,6 +57,8 @@ impl<T> Ord for Pending<T> {
 pub struct ServiceUnit<T> {
     heap: BinaryHeap<Reverse<Pending<T>>>,
     next_seq: u64,
+    /// Admissions reserved but not yet filled.
+    reserved: usize,
 }
 
 impl<T> Default for ServiceUnit<T> {
@@ -59,6 +66,7 @@ impl<T> Default for ServiceUnit<T> {
         ServiceUnit {
             heap: BinaryHeap::new(),
             next_seq: 0,
+            reserved: 0,
         }
     }
 }
@@ -80,17 +88,41 @@ impl<T> ServiceUnit<T> {
         }));
     }
 
-    /// Number of requests still in flight.
+    /// Admits a request whose completion cycle is not known yet, returning
+    /// its sequence number for [`fill`](Self::fill). It counts as in
+    /// flight from now on and takes its admission-order place among
+    /// same-cycle completions.
+    pub fn reserve(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.reserved += 1;
+        seq
+    }
+
+    /// Completes a [`reserve`](Self::reserve)d admission: the request
+    /// reserved as `seq` completes at absolute cycle `ready`.
+    pub fn fill(&mut self, seq: u64, ready: u64, payload: T) {
+        debug_assert!(self.reserved > 0 && seq < self.next_seq);
+        self.reserved -= 1;
+        self.heap.push(Reverse(Pending {
+            ready,
+            seq,
+            payload,
+        }));
+    }
+
+    /// Number of requests still in flight, reserved ones included.
     pub fn in_flight(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.reserved
     }
 
     /// True when nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.in_flight() == 0
     }
 
-    /// The earliest completion cycle among in-flight requests.
+    /// The earliest completion cycle among in-flight requests whose cycle
+    /// is known (reserved ones are not).
     pub fn next_ready(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(p)| p.ready)
     }
@@ -161,6 +193,20 @@ mod tests {
         let done = u.pop_ready(7);
         let order: Vec<i32> = done.into_iter().map(|c| c.payload).collect();
         assert_eq!(order, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn reserved_admissions_keep_their_place_in_line() {
+        let mut u = ServiceUnit::new();
+        let first = u.reserve();
+        u.push(7, "second");
+        assert_eq!(u.in_flight(), 2);
+        assert!(!u.is_empty());
+        assert_eq!(u.next_ready(), Some(7));
+        u.fill(first, 7, "first");
+        let order: Vec<&str> = u.pop_ready(7).into_iter().map(|c| c.payload).collect();
+        assert_eq!(order, ["first", "second"]);
+        assert!(u.is_empty());
     }
 
     #[test]

@@ -85,6 +85,18 @@ pub fn jobs_from_env(raw: Option<&str>) -> (usize, Option<String>) {
     }
 }
 
+thread_local! {
+    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether the calling thread is a worker spawned by [`run_with_jobs`] or
+/// [`run_supervised`]. Code that could fan out further (a multi-SM run
+/// steps its SMs on threads) stays on this one thread instead, so a sweep
+/// never oversubscribes the host.
+pub fn in_worker() -> bool {
+    IN_WORKER.with(|w| w.get())
+}
+
 /// The host's available parallelism (1 when undetectable).
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -120,6 +132,7 @@ where
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| {
+                IN_WORKER.with(|w| w.set(true));
                 // Finished jobs are buffered locally and published in one
                 // lock per worker batch, keeping the mutex out of the
                 // per-job path.
@@ -388,50 +401,53 @@ where
             let tx = tx.clone();
             let f = Arc::clone(&f);
             let sup = sup.clone();
-            std::thread::spawn(move || loop {
-                let i = shared.next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let externally_cancelled = || {
-                    sup.cancel
-                        .as_ref()
-                        .is_some_and(|c| c.load(Ordering::SeqCst))
-                };
-                if externally_cancelled() {
+            std::thread::spawn(move || {
+                IN_WORKER.with(|w| w.set(true));
+                loop {
+                    let i = shared.next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let externally_cancelled = || {
+                        sup.cancel
+                            .as_ref()
+                            .is_some_and(|c| c.load(Ordering::SeqCst))
+                    };
+                    if externally_cancelled() {
+                        let _ = tx.send(DoneMsg {
+                            index: i,
+                            attempts: 0,
+                            outcome: Err(JobCause::Cancelled),
+                        });
+                        continue;
+                    }
+                    let mut attempt = 1u32;
+                    let outcome = loop {
+                        shared.attempt_of[i].store(attempt, Ordering::SeqCst);
+                        shared.running_since[i]
+                            .store(epoch.elapsed().as_micros() as u64 + 1, Ordering::SeqCst);
+                        let result = catch_unwind(AssertUnwindSafe(|| f(i, attempt)));
+                        shared.running_since[i].store(0, Ordering::SeqCst);
+                        let cause = match result {
+                            Ok(Ok(t)) => break Ok(t),
+                            Ok(Err(e)) => JobCause::Err(e),
+                            Err(payload) => JobCause::Panic(panic_message(payload)),
+                        };
+                        // A drain in progress turns remaining retries into a final
+                        // verdict: report the real failure now rather than sleeping
+                        // through the shutdown window.
+                        if attempt >= sup.max_attempts || externally_cancelled() {
+                            break Err(cause);
+                        }
+                        attempt += 1;
+                        std::thread::sleep(sup.backoff.delay(i, attempt));
+                    };
                     let _ = tx.send(DoneMsg {
                         index: i,
-                        attempts: 0,
-                        outcome: Err(JobCause::Cancelled),
+                        attempts: attempt,
+                        outcome,
                     });
-                    continue;
                 }
-                let mut attempt = 1u32;
-                let outcome = loop {
-                    shared.attempt_of[i].store(attempt, Ordering::SeqCst);
-                    shared.running_since[i]
-                        .store(epoch.elapsed().as_micros() as u64 + 1, Ordering::SeqCst);
-                    let result = catch_unwind(AssertUnwindSafe(|| f(i, attempt)));
-                    shared.running_since[i].store(0, Ordering::SeqCst);
-                    let cause = match result {
-                        Ok(Ok(t)) => break Ok(t),
-                        Ok(Err(e)) => JobCause::Err(e),
-                        Err(payload) => JobCause::Panic(panic_message(payload)),
-                    };
-                    // A drain in progress turns remaining retries into a final
-                    // verdict: report the real failure now rather than sleeping
-                    // through the shutdown window.
-                    if attempt >= sup.max_attempts || externally_cancelled() {
-                        break Err(cause);
-                    }
-                    attempt += 1;
-                    std::thread::sleep(sup.backoff.delay(i, attempt));
-                };
-                let _ = tx.send(DoneMsg {
-                    index: i,
-                    attempts: attempt,
-                    outcome,
-                });
             })
         };
 
@@ -539,6 +555,20 @@ mod tests {
             i * 3
         });
         assert_eq!(out, (0..32).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn workers_know_they_are_workers() {
+        assert!(!in_worker());
+        assert_eq!(run_with_jobs(2, 4, |_| in_worker()), vec![true; 4]);
+        let sup = Supervisor {
+            workers: 2,
+            ..Supervisor::default()
+        };
+        let labels: Vec<String> = (0..3).map(|i| i.to_string()).collect();
+        let out = run_supervised(&sup, &labels, |_, _| Ok::<bool, ()>(in_worker()));
+        assert!(out.into_iter().all(|r| r == Ok(true)));
+        assert!(!in_worker());
     }
 
     #[test]

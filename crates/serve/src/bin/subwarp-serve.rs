@@ -19,7 +19,7 @@
 //!
 //! `--compact-at BYTES` bounds the journal: when it grows past the
 //! threshold, a background pass rewrites it crash-consistently keeping the
-//! most-recently-used half. The `compact` subcommand runs the same pass
+//! most-recently-used half. It needs `--store` (exit 2 without one). The `compact` subcommand runs the same pass
 //! offline against a stopped daemon's store. Both honor
 //! `SUBWARP_COMPACT_CRASH=<step>` (`begin`, `tmp-written`, `tmp-synced`,
 //! `renamed`, `dir-synced`): the process aborts at that step, which is how
@@ -118,6 +118,13 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
         }
         i += 1;
     }
+    if compact_at.is_some() && store.is_none() {
+        // The in-memory store has no file: a compactor would poll a
+        // journal that never grows on disk, forever.
+        return Err(
+            "--compact-at needs --store (an in-memory store has no file to compact)".into(),
+        );
+    }
     if chaos {
         cfg.faults = Some(faults);
     }
@@ -151,7 +158,8 @@ const HELP: &str = "subwarp-serve: crash-safe simulation job daemon (NDJSON over
   --io-timeout-ms N      per-connection read/write deadline, 0 = none
                          (default 120000)
   --compact-at BYTES     compact the journal when it grows past this,
-                         keeping the most-recently-used half (default: off)
+                         keeping the most-recently-used half (default: off;
+                         needs --store)
   --fault-*              deterministic chaos injection (see DESIGN.md)
 
 subcommand `compact`: offline journal compaction against a stopped store:
@@ -331,4 +339,23 @@ fn main() {
 
     println!("subwarp-serve drained: {}", server.stats_json());
     std::process::exit(0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn compact_at_needs_a_store() {
+        let err = parse_args(argv(&["--compact-at", "4096"])).err();
+        assert!(err.is_some_and(|e| e.contains("--compact-at needs --store")));
+        let args = parse_args(argv(&["--compact-at", "4096", "--store", "s.jsonl"]))
+            .expect("a store makes --compact-at valid");
+        assert_eq!(args.compact_at, Some(4096));
+        assert!(parse_args(argv(&["--store", "s.jsonl"])).is_ok());
+    }
 }
