@@ -52,8 +52,8 @@ use subwarp_core::SimError;
 use subwarp_serve::spec::resolve_workload;
 use subwarp_stats::{mean, BarChart, Table};
 use subwarp_sweep::{
-    chaos_sweep, holes_observed, install_global_policy, job_error_to_sim, Journal, Sweep,
-    SweepPolicy,
+    chaos_sweep, holes_observed, install_global_policy, job_error_to_sim, run_resilient, Journal,
+    Sweep, SweepPolicy,
 };
 
 fn main() {
@@ -269,7 +269,7 @@ fn chaos() -> Result<(), SimError> {
     // smoke output stays readable. catch_unwind still captures payloads.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let grid = sweep.run_resilient(&policy);
+    let grid = run_resilient(&sweep, &policy);
     std::panic::set_hook(default_hook);
     let first_line = |s: String| s.lines().next().unwrap_or_default().to_owned();
     let workloads: Vec<&str> = sweep.workload_names().collect();

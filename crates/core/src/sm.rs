@@ -10,9 +10,7 @@ use crate::trace::{EventKind, TraceEvent};
 use crate::warp::{lanes, IssueResult, MemKind, RtJob, WarpSim, WarpStatus};
 use crate::workload::Workload;
 use subwarp_isa::{Program, Reg, Scoreboard};
-use subwarp_mem::{
-    AccessKind, Cache, ChipBackends, DataMemory, MemoryBackend, Partition, ServiceUnit,
-};
+use subwarp_mem::{AccessKind, Cache, DataMemory, MemoryBackend, Partition, ServiceUnit};
 
 /// Instruction-cache line size in bytes (8 instructions of 16 bytes).
 pub const ICACHE_LINE: u64 = 128;
@@ -211,14 +209,7 @@ impl Simulator {
         })?;
         let n_sms = self.sm.n_sms;
         let (mem, latency) = (&self.sm.mem_backend, self.sm.miss_latency);
-        let chip = if self.sm.shared_partitions {
-            mem.build_chip(latency, n_sms)
-        } else {
-            ChipBackends {
-                backends: (0..n_sms).map(|_| mem.build(latency)).collect(),
-                shared: None,
-            }
-        };
+        let chip = mem.build_chip(latency, n_sms, self.sm.shared_partitions);
         // Each SM profiles into its own [`BufferingProfiler`], replayed SM by
         // SM after the run so the caller sees contiguous `begin_sm`/`end_sm`
         // streams.
@@ -369,10 +360,6 @@ pub(crate) struct SimState<'a> {
     /// Lane vectors recycled through in-flight [`MemResp`]s: popped at issue
     /// time, pushed back when the response's writeback is applied.
     lane_vec_pool: Vec<Vec<(usize, u64)>>,
-    /// Per-slot cycle of the last state mutation (writeback, wakeup, fetch,
-    /// selection, issue, launch, retire). Change-driven phases skip slots
-    /// whose state provably did not change since they last ran.
-    last_mutated: Vec<u64>,
     /// Per-slot: mutated since `statuses[slot]` was last computed. Set by
     /// `touch`, cleared by `recompute_status`.
     stale: Vec<bool>,
@@ -384,7 +371,9 @@ pub(crate) struct SimState<'a> {
     /// Bitmask words over slots mutated this cycle (`dirty_now`) and the
     /// previous cycle (`dirty_prev`). The change-driven phases iterate set
     /// bits of their union instead of scanning every slot; `step` rolls the
-    /// window each cycle. Mirrors `last_mutated ∈ {cycle, cycle-1}`.
+    /// window each cycle. `touch` runs only inside `step` before the clock
+    /// advances (or at launch in `new`, at cycle 0), so a `dirty_now` bit
+    /// always means "mutated this cycle".
     dirty_now: Vec<u64>,
     dirty_prev: Vec<u64>,
     /// Lower bound on `min(recheck_at)`. `compute_statuses` full-scans (and
@@ -509,7 +498,6 @@ impl<'a> SimState<'a> {
             issue_res: IssueResult::default(),
             line_groups: Vec::new(),
             lane_vec_pool: Vec::new(),
-            last_mutated: vec![0; n_slots],
             stale: vec![false; n_slots],
             recheck_at: vec![u64::MAX; n_slots],
             dirty_now: vec![0; n_slots.div_ceil(64)],
@@ -535,7 +523,6 @@ impl<'a> SimState<'a> {
     /// and retirement checks) for it.
     #[inline]
     fn touch(&mut self, slot: usize) {
-        self.last_mutated[slot] = self.cycle;
         self.stale[slot] = true;
         self.dirty_now[slot >> 6] |= 1 << (slot & 63);
     }
@@ -847,9 +834,7 @@ impl<'a> SimState<'a> {
                 while m != 0 {
                     let slot = (word << 6) + m.trailing_zeros() as usize;
                     m &= m - 1;
-                    if self.last_mutated[slot] == self.cycle {
-                        self.check_slot_invariants(slot, false)?;
-                    }
+                    self.check_slot_invariants(slot, false)?;
                 }
             }
         }
@@ -1672,9 +1657,6 @@ impl<'a> SimState<'a> {
             while m != 0 {
                 let slot = (word << 6) + m.trailing_zeros() as usize;
                 m &= m - 1;
-                if self.last_mutated[slot] != self.cycle {
-                    continue;
-                }
                 if self.slots[slot].as_ref().is_some_and(|w| w.done()) {
                     // Retired warps go back to the pool; the next launch
                     // resets one in place instead of allocating contexts

@@ -23,14 +23,20 @@
 //!    word with the value a load returns) are identical across all of
 //!    them, bit for bit.
 //!
-//! Any mismatch — or any [`SimError`] from the always-on invariant
+//! [`Oracle::check`] is the one per-seed check: [`Oracle::Baseline`] is
+//! the comparison above, and [`Oracle::TraceParity`] instead compares each
+//! configuration's run with a run of the trace round trip. Campaigns run
+//! seeds in parallel under supervision ([`run_fuzz_resilient`]) and can
+//! checkpoint to a [`FuzzJournal`] keyed by `(oracle, seed)`.
+//!
+//! Any mismatch — or any [`SimError`](subwarp_core::SimError) from the always-on invariant
 //! checker — is reported as a [`Divergence`] carrying the seed, so every
 //! failure is reproducible with
 //! `cargo run -p subwarp-fuzz -- --seed <N> --iters 1`.
 
 use subwarp_core::{
     DivergeOrder, HierarchyConfig, InitValue, MemBackendConfig, MemoryImage, RunStats,
-    SelectPolicy, SiConfig, SimError, Simulator, SmConfig, Workload,
+    SelectPolicy, SiConfig, Simulator, SmConfig, Workload,
 };
 use subwarp_isa::{Barrier, CmpOp, Operand, Pred, Program, ProgramBuilder, Reg, Scoreboard};
 use subwarp_prng::SmallRng;
@@ -395,175 +401,128 @@ pub struct FuzzReport {
     pub instructions: u64,
 }
 
-/// Checks one seed: generates its program once, runs it under every grid
-/// configuration on the default worker count, and compares instruction
-/// counts and final memory images against the single cached baseline run.
-pub fn check_seed(seed: u64, report: &mut FuzzReport) -> Result<(), Divergence> {
-    check_seed_with_jobs(seed, report, subwarp_pool::default_jobs())
-}
-
-/// [`check_seed`] with an explicit worker count (`1` forces the serial
-/// path — used by the program-parallel batch driver so pools don't nest,
-/// and by determinism tests).
-///
-/// All grid configurations share one generated workload and one baseline
-/// `(stats, image)` pair; the comparisons happen in grid order after the
-/// runs complete, so the reported divergence is the same no matter how
-/// many workers ran the grid.
-pub fn check_seed_with_jobs(
-    seed: u64,
-    report: &mut FuzzReport,
-    workers: usize,
-) -> Result<(), Divergence> {
-    let wl = random_workload(seed);
-    let fail = |config: &str, what: String| Divergence {
-        seed,
-        oracle: Oracle::Baseline,
-        config: config.into(),
-        what,
-    };
-    let sim_err = |config: &str, e: SimError| fail(config, format!("simulation error: {e}"));
-
-    let grid = config_grid();
-    let results: Vec<Result<(RunStats, MemoryImage), SimError>> =
-        subwarp_pool::run_with_jobs(workers, grid.len(), |i| {
-            let (_, sm, si) = &grid[i];
-            Simulator::new(sm.clone(), *si).run_with_memory(&wl)
-        });
-    let mut results = results.into_iter();
-
-    let base_label = grid[0].0.as_str();
-    let (base_stats, base_image) = results
-        .next()
-        .expect("grid is non-empty")
-        .map_err(|e| sim_err(base_label, e))?;
-    report.programs += 1;
-    report.runs += 1;
-    report.instructions += base_stats.instructions;
-
-    for ((label, _, _), result) in grid[1..].iter().zip(results) {
-        let (stats, image) = result.map_err(|e| sim_err(label, e))?;
-        report.runs += 1;
-        report.instructions += stats.instructions;
-        if stats.instructions != base_stats.instructions {
-            return Err(fail(
-                label,
-                format!(
-                    "instruction count {} != baseline {}",
-                    stats.instructions, base_stats.instructions
-                ),
-            ));
-        }
-        if let Some(what) = diff_images(&base_image, &image) {
-            return Err(fail(label, what));
-        }
-    }
-    Ok(())
-}
-
-// ------------------------------------------------- trace cross-validation
-
-/// Cross-validates the trace frontend against direct execution for one
-/// seed: the generated workload is serialized with
-/// [`subwarp_trace::encode_workload`], decoded back, re-encoded (the bytes
-/// must be identical), and then both the original and the replayed
-/// workload run under every grid configuration — the [`RunStats`] and
-/// final memory images must match bit for bit.
-///
-/// This closes the loop the differential oracle alone cannot: it proves
-/// the *serialized* form preserves exactly the architecture-visible
-/// behaviour of the in-memory form, for arbitrarily generated kernels.
-pub fn check_seed_trace_parity(
-    seed: u64,
-    report: &mut FuzzReport,
-    workers: usize,
-) -> Result<(), Divergence> {
-    let fail = |config: &str, what: String| Divergence {
-        seed,
-        oracle: Oracle::TraceParity,
-        config: config.into(),
-        what,
-    };
-
-    let wl = random_workload(seed);
-    let bytes = subwarp_trace::encode_workload(&wl);
-    let replayed = subwarp_trace::decode_workload(&bytes)
-        .map_err(|e| fail("<trace>", format!("decode failed: {e}")))?;
-    if replayed != wl {
-        return Err(fail(
-            "<trace>",
-            "decoded workload differs from the original".into(),
-        ));
+/// Serializes `wl` with [`subwarp_trace::encode_workload`], decodes it back
+/// and re-encodes it: the decoded workload must equal the original and the
+/// re-encoding must be byte-identical. Returns the decoded workload.
+fn round_trip(wl: &Workload) -> Result<Workload, String> {
+    let bytes = subwarp_trace::encode_workload(wl);
+    let replayed =
+        subwarp_trace::decode_workload(&bytes).map_err(|e| format!("decode failed: {e}"))?;
+    if replayed != *wl {
+        return Err("decoded workload differs from the original".into());
     }
     let reencoded = subwarp_trace::encode_workload(&replayed);
     if reencoded != bytes {
-        return Err(fail(
-            "<trace>",
-            format!(
-                "re-encoding is not byte-identical ({} vs {} bytes)",
-                reencoded.len(),
-                bytes.len()
-            ),
+        return Err(format!(
+            "re-encoding is not byte-identical ({} vs {} bytes)",
+            reencoded.len(),
+            bytes.len()
         ));
     }
-
-    // One (stats, image) observation per side of the comparison.
-    type RunPair = ((RunStats, MemoryImage), (RunStats, MemoryImage));
-    let grid = config_grid();
-    let pairs: Vec<Result<RunPair, SimError>> =
-        subwarp_pool::run_with_jobs(workers, grid.len(), |i| {
-            let (_, sm, si) = &grid[i];
-            let direct = Simulator::new(sm.clone(), *si).run_with_memory(&wl)?;
-            let replay = Simulator::new(sm.clone(), *si).run_with_memory(&replayed)?;
-            Ok((direct, replay))
-        });
-    report.programs += 1;
-    for ((label, _, _), pair) in grid.iter().zip(pairs) {
-        let ((stats, image), (rstats, rimage)) =
-            pair.map_err(|e| fail(label, format!("simulation error: {e}")))?;
-        report.runs += 2;
-        report.instructions += stats.instructions + rstats.instructions;
-        if rstats != stats {
-            return Err(fail(
-                label,
-                format!(
-                    "replayed stats differ (direct {} instructions / {} cycles, \
-                     replay {} / {})",
-                    stats.instructions, stats.cycles, rstats.instructions, rstats.cycles
-                ),
-            ));
-        }
-        if let Some(what) = diff_images(&image, &rimage) {
-            return Err(fail(label, format!("replayed image differs: {what}")));
-        }
-    }
-    Ok(())
+    Ok(replayed)
 }
 
-// ------------------------------------------------- resilient campaigns
-
 /// A per-seed differential check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Oracle {
-    /// [`check_seed_with_jobs`]: SI configurations against the baseline.
+    /// SI configurations against the baseline: every grid run must execute
+    /// the first configuration's instruction count and write its final
+    /// memory image.
     Baseline,
-    /// [`check_seed_trace_parity`]: trace replay against direct execution.
+    /// Trace replay against direct execution: the workload must survive the
+    /// encode → decode → re-encode round trip, and under every grid
+    /// configuration its replay must match the direct run's [`RunStats`]
+    /// and final memory image bit for bit. This proves the *serialized*
+    /// form preserves exactly the architecture-visible behaviour of the
+    /// in-memory form, for arbitrarily generated kernels.
     TraceParity,
 }
 
 impl Oracle {
-    /// Checks `seed` on `workers` threads, adding its runs to `report` and
-    /// returning the first mismatch.
-    pub fn check(
-        self,
-        seed: u64,
-        report: &mut FuzzReport,
-        workers: usize,
-    ) -> Result<(), Divergence> {
+    /// The oracle's name in [`FuzzJournal`] lines.
+    fn name(self) -> &'static str {
         match self {
-            Oracle::Baseline => check_seed_with_jobs(seed, report, workers),
-            Oracle::TraceParity => check_seed_trace_parity(seed, report, workers),
+            Oracle::Baseline => "baseline",
+            Oracle::TraceParity => "trace-parity",
         }
+    }
+
+    /// Checks one seed: generates its program once and runs it under every
+    /// [`config_grid`] configuration in order, counting runs and
+    /// instructions, and stops at the first mismatch (or
+    /// [`SimError`](subwarp_core::SimError)).
+    pub fn check(self, seed: u64) -> SeedOutcome {
+        let mut outcome = SeedOutcome {
+            seed,
+            oracle: self,
+            runs: 0,
+            instructions: 0,
+            failure: None,
+        };
+        if let Err((config, what)) = self.walk(seed, &mut outcome) {
+            outcome.failure = Some(Divergence {
+                seed,
+                oracle: self,
+                config,
+                what,
+            });
+        }
+        outcome
+    }
+
+    /// The loop of [`Oracle::check`]; a failure is `(config, what)`.
+    fn walk(self, seed: u64, out: &mut SeedOutcome) -> Result<(), (String, String)> {
+        let wl = random_workload(seed);
+        let replayed = match self {
+            Oracle::Baseline => None,
+            Oracle::TraceParity => Some(round_trip(&wl).map_err(|w| ("<trace>".to_owned(), w))?),
+        };
+        let mut first: Option<(RunStats, MemoryImage)> = None;
+        for (label, sm, si) in config_grid() {
+            let sim = Simulator::new(sm, si);
+            let run = |wl: &Workload| {
+                sim.run_with_memory(wl)
+                    .map_err(|e| (label.clone(), format!("simulation error: {e}")))
+            };
+            let (stats, image) = run(&wl)?;
+            let mismatch = match &replayed {
+                None => {
+                    out.runs += 1;
+                    out.instructions += stats.instructions;
+                    match first.as_ref() {
+                        None => {
+                            first = Some((stats, image));
+                            None
+                        }
+                        Some((base, _)) if base.instructions != stats.instructions => {
+                            Some(format!(
+                                "instruction count {} != baseline {}",
+                                stats.instructions, base.instructions
+                            ))
+                        }
+                        Some((_, base_image)) => diff_images(base_image, &image),
+                    }
+                }
+                Some(replayed) => {
+                    let (rstats, rimage) = run(replayed)?;
+                    out.runs += 2;
+                    out.instructions += stats.instructions + rstats.instructions;
+                    if rstats != stats {
+                        Some(format!(
+                            "replayed stats differ (direct {} instructions / {} cycles, \
+                             replay {} / {})",
+                            stats.instructions, stats.cycles, rstats.instructions, rstats.cycles
+                        ))
+                    } else {
+                        diff_images(&image, &rimage).map(|w| format!("replayed image differs: {w}"))
+                    }
+                }
+            };
+            if let Some(what) = mismatch {
+                return Err((label, what));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -573,6 +532,8 @@ impl Oracle {
 pub struct SeedOutcome {
     /// The seed checked.
     pub seed: u64,
+    /// The check that ran.
+    pub oracle: Oracle,
     /// Simulator runs performed for this seed.
     pub runs: u64,
     /// Warp instructions executed across those runs.
@@ -583,16 +544,20 @@ pub struct SeedOutcome {
 }
 
 /// Decodes one line written by [`FuzzJournal::record`]; `None` for a line
-/// of any other shape.
+/// of any other shape. A line without an `oracle` key is a baseline line.
 fn outcome_from_json(v: &Value) -> Option<SeedOutcome> {
     let seed = v.u64_field("seed")?;
+    let oracle = match v.get("oracle") {
+        None => Oracle::Baseline,
+        Some(o) => [Oracle::Baseline, Oracle::TraceParity]
+            .into_iter()
+            .find(|k| Some(k.name()) == o.as_str())?,
+    };
     let failure = match v.str_field("kind")? {
         "ok" => None,
         "fail" => Some(Divergence {
             seed,
-            // The journal is one oracle's; the campaign that restores the
-            // outcome names it (`run_fuzz_resilient`).
-            oracle: Oracle::Baseline,
+            oracle,
             config: v.str_field("config")?.to_owned(),
             what: v.str_field("what")?.to_owned(),
         }),
@@ -600,6 +565,7 @@ fn outcome_from_json(v: &Value) -> Option<SeedOutcome> {
     };
     Some(SeedOutcome {
         seed,
+        oracle,
         runs: v.u64_field("runs")?,
         instructions: v.u64_field("instructions")?,
         failure,
@@ -611,19 +577,21 @@ fn outcome_from_json(v: &Value) -> Option<SeedOutcome> {
 /// restored exactly) so an interrupted campaign finishes with the same
 /// report and digest as an uninterrupted one.
 ///
-/// One line per completed seed:
+/// One line per completed seed, keyed by `(oracle, seed)`, so one journal
+/// can hold both oracles' campaigns:
 ///
 /// ```json
-/// {"kind":"ok","seed":7,"runs":29,"instructions":12345}
-/// {"kind":"fail","seed":8,"runs":3,"instructions":90,"config":"dws","what":"..."}
+/// {"kind":"ok","oracle":"baseline","seed":7,"runs":31,"instructions":12345}
+/// {"kind":"fail","oracle":"trace-parity","seed":8,"runs":4,"instructions":90,"config":"dws","what":"..."}
 /// ```
 ///
-/// Seeds that panicked or timed out under supervision are *not* journaled:
-/// a resumed campaign retries them.
+/// A line without an `oracle` key is a baseline line. Seeds that panicked
+/// or timed out under supervision are *not* journaled: a resumed campaign
+/// retries them.
 #[derive(Debug)]
 pub struct FuzzJournal {
     restored: usize,
-    completed: std::sync::Mutex<std::collections::HashMap<u64, SeedOutcome>>,
+    completed: std::sync::Mutex<std::collections::HashMap<(Oracle, u64), SeedOutcome>>,
     file: std::sync::Mutex<std::fs::File>,
 }
 
@@ -635,7 +603,7 @@ impl FuzzJournal {
         let mut completed = std::collections::HashMap::new();
         let file = open_jsonl(path.as_ref(), |_, v| {
             if let Some(o) = outcome_from_json(&v) {
-                completed.insert(o.seed, o);
+                completed.insert((o.oracle, o.seed), o);
             }
         })?;
         Ok(FuzzJournal {
@@ -645,33 +613,35 @@ impl FuzzJournal {
         })
     }
 
-    /// Seeds restored from disk when the journal was opened.
+    /// Outcomes, of either oracle, restored from disk when the journal was
+    /// opened.
     pub fn restored(&self) -> usize {
         self.restored
     }
 
-    /// The journaled outcome for a seed, if it completed in an earlier run.
-    pub fn lookup(&self, seed: u64) -> Option<SeedOutcome> {
+    /// The journaled outcome of `oracle` for a seed, if it completed in an
+    /// earlier run.
+    pub fn lookup(&self, oracle: Oracle, seed: u64) -> Option<SeedOutcome> {
         self.completed
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .get(&seed)
+            .get(&(oracle, seed))
             .cloned()
     }
 
     /// Records one completed seed (appended and flushed immediately).
     pub fn record(&self, outcome: &SeedOutcome) {
+        let head = format!(
+            "\"oracle\":\"{}\",\"seed\":{},\"runs\":{},\"instructions\":{}",
+            outcome.oracle.name(),
+            outcome.seed,
+            outcome.runs,
+            outcome.instructions
+        );
         let line = match &outcome.failure {
-            None => format!(
-                "{{\"kind\":\"ok\",\"seed\":{},\"runs\":{},\"instructions\":{}}}",
-                outcome.seed, outcome.runs, outcome.instructions
-            ),
+            None => format!("{{\"kind\":\"ok\",{head}}}"),
             Some(d) => format!(
-                "{{\"kind\":\"fail\",\"seed\":{},\"runs\":{},\"instructions\":{},\
-                 \"config\":\"{}\",\"what\":\"{}\"}}",
-                outcome.seed,
-                outcome.runs,
-                outcome.instructions,
+                "{{\"kind\":\"fail\",{head},\"config\":\"{}\",\"what\":\"{}\"}}",
                 json_escape(&d.config),
                 json_escape(&d.what)
             ),
@@ -683,7 +653,7 @@ impl FuzzJournal {
         self.completed
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(outcome.seed, outcome.clone());
+            .insert((outcome.oracle, outcome.seed), outcome.clone());
     }
 }
 
@@ -700,17 +670,17 @@ pub struct CampaignOutcome {
     pub restored: u64,
 }
 
-/// Runs a keep-going fuzzing campaign of `oracle` under supervision: a
-/// divergence (or a panic, or a seed exceeding `deadline`) is recorded and
-/// the campaign *continues* instead of stopping at the first failure.
+/// Runs a keep-going fuzzing campaign of `oracle` under supervision, on
+/// `workers` threads that each check one seed at a time: a divergence (or a
+/// panic, or a seed exceeding `deadline`) is recorded and the campaign
+/// *continues* instead of stopping at the first failure.
 ///
-/// Seeds found in `journal` are restored without re-checking; freshly
-/// completed seeds (ok or diverged) are journaled as they finish, so a
-/// killed campaign resumed with the same journal produces the same final
-/// report and failure digest as an uninterrupted one. Panicked/timed-out
-/// seeds become synthetic [`Divergence`]s labeled `<supervisor>` and are
-/// not journaled (a resume retries them). The journal is keyed by seed
-/// alone, so one journal must only ever see one oracle.
+/// Seeds `journal` holds for this oracle are restored without re-checking;
+/// freshly completed seeds (ok or diverged) are journaled as they finish,
+/// so a killed campaign resumed with the same journal produces the same
+/// final report and failure digest as an uninterrupted one. Panicked/
+/// timed-out seeds become synthetic [`Divergence`]s labeled `<supervisor>`
+/// and are not journaled (a resume retries them).
 pub fn run_fuzz_resilient(
     oracle: Oracle,
     seed: u64,
@@ -722,15 +692,7 @@ pub fn run_fuzz_resilient(
     use subwarp_pool::Supervisor;
 
     let mut outcomes: Vec<Option<SeedOutcome>> = (0..iters)
-        .map(|i| {
-            let mut o = journal
-                .as_ref()
-                .and_then(|j| j.lookup(seed.wrapping_add(i)))?;
-            if let Some(d) = o.failure.as_mut() {
-                d.oracle = oracle;
-            }
-            Some(o)
-        })
+        .map(|i| journal.as_ref()?.lookup(oracle, seed.wrapping_add(i)))
         .collect();
     let restored = outcomes.iter().filter(|o| o.is_some()).count() as u64;
     let pending: Vec<u64> = (0..iters)
@@ -752,15 +714,7 @@ pub fn run_fuzz_resilient(
             &sup,
             &labels,
             move |k, _attempt| {
-                let s = seed.wrapping_add(job_pending[k]);
-                let mut r = FuzzReport::default();
-                let failure = oracle.check(s, &mut r, 1).err();
-                let outcome = SeedOutcome {
-                    seed: s,
-                    runs: r.runs,
-                    instructions: r.instructions,
-                    failure,
-                };
+                let outcome = oracle.check(seed.wrapping_add(job_pending[k]));
                 if let Some(j) = &job_journal {
                     j.record(&outcome);
                 }
@@ -775,6 +729,7 @@ pub fn run_fuzz_resilient(
                 // reproducible failure record of their own.
                 Err(e) => SeedOutcome {
                     seed: s,
+                    oracle,
                     runs: 0,
                     instructions: 0,
                     failure: Some(Divergence {
@@ -874,10 +829,14 @@ mod tests {
     }
 
     #[test]
-    fn resilient_campaign_matches_legacy_on_clean_seeds() {
+    fn resilient_campaign_sums_per_seed_checks() {
         let mut serial = FuzzReport::default();
         for s in 0xF00D..0xF00D + 4 {
-            check_seed_with_jobs(s, &mut serial, 1).expect("schedules must agree");
+            let o = Oracle::Baseline.check(s);
+            assert!(o.failure.is_none(), "schedules must agree: {:?}", o.failure);
+            serial.programs += 1;
+            serial.runs += o.runs;
+            serial.instructions += o.instructions;
         }
         let resilient = run_fuzz_resilient(Oracle::Baseline, 0xF00D, 4, 2, None, None);
         assert!(resilient.failures.is_empty());
@@ -887,10 +846,15 @@ mod tests {
 
     #[test]
     fn resilient_serial_and_parallel_agree() {
-        let a = run_fuzz_resilient(Oracle::Baseline, 99, 6, 1, None, None);
-        let b = run_fuzz_resilient(Oracle::Baseline, 99, 6, 4, None, None);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.failures.len(), b.failures.len());
+        for oracle in [Oracle::Baseline, Oracle::TraceParity] {
+            let a = run_fuzz_resilient(oracle, 99, 6, 1, None, None);
+            let b = run_fuzz_resilient(oracle, 99, 6, 4, None, None);
+            assert_eq!(
+                a.report, b.report,
+                "{oracle:?} report depends on worker count"
+            );
+            assert_eq!(a.failures.len(), b.failures.len());
+        }
     }
 
     #[test]
@@ -902,17 +866,19 @@ mod tests {
             assert_eq!(j.restored(), 0);
             j.record(&SeedOutcome {
                 seed: 3,
+                oracle: Oracle::Baseline,
                 runs: 29,
                 instructions: 1234,
                 failure: None,
             });
             j.record(&SeedOutcome {
                 seed: 4,
+                oracle: Oracle::TraceParity,
                 runs: 2,
                 instructions: 55,
                 failure: Some(Divergence {
                     seed: 4,
-                    oracle: Oracle::Baseline,
+                    oracle: Oracle::TraceParity,
                     config: "dws \"quoted\"".into(),
                     what: "line1\nline2\tend".into(),
                 }),
@@ -920,14 +886,44 @@ mod tests {
         }
         let j = FuzzJournal::open(&path).unwrap();
         assert_eq!(j.restored(), 2);
-        let ok = j.lookup(3).unwrap();
+        let ok = j.lookup(Oracle::Baseline, 3).unwrap();
         assert_eq!((ok.runs, ok.instructions), (29, 1234));
         assert!(ok.failure.is_none());
-        let fail = j.lookup(4).unwrap();
+        let fail = j.lookup(Oracle::TraceParity, 4).unwrap();
+        assert_eq!(fail.oracle, Oracle::TraceParity);
         let d = fail.failure.unwrap();
+        assert_eq!(d.oracle, Oracle::TraceParity);
         assert_eq!(d.config, "dws \"quoted\"");
         assert_eq!(d.what, "line1\nline2\tend");
-        assert!(j.lookup(5).is_none());
+        // Each oracle sees only its own seeds.
+        assert!(j.lookup(Oracle::TraceParity, 3).is_none());
+        assert!(j.lookup(Oracle::Baseline, 4).is_none());
+        assert!(j.lookup(Oracle::Baseline, 5).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn untagged_lines_are_baseline_lines() {
+        use std::io::Write;
+        let path = temp_journal_path("untagged");
+        std::fs::File::create(&path)
+            .unwrap()
+            .write_all(
+                b"{\"kind\":\"ok\",\"seed\":3,\"runs\":29,\"instructions\":70}\n\
+                  {\"kind\":\"ok\",\"oracle\":\"nonesuch\",\"seed\":4,\"runs\":1,\"instructions\":1}\n",
+            )
+            .unwrap();
+        let j = FuzzJournal::open(&path).unwrap();
+        // The line naming an unknown oracle is skipped.
+        assert_eq!(j.restored(), 1);
+        let o = j
+            .lookup(Oracle::Baseline, 3)
+            .expect("untagged line restores");
+        assert_eq!(
+            (o.oracle, o.runs, o.instructions),
+            (Oracle::Baseline, 29, 70)
+        );
+        assert!(j.lookup(Oracle::TraceParity, 3).is_none());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -935,18 +931,25 @@ mod tests {
     fn resume_skips_journaled_seeds_and_restores_counts() {
         let path = temp_journal_path("resume");
         let _ = std::fs::remove_file(&path);
-        // Uninterrupted reference campaign (no journal).
-        let full = run_fuzz_resilient(Oracle::Baseline, 0xBEEF, 5, 2, None, None);
-        // First leg: only the first 3 seeds, journaled.
-        let j = std::sync::Arc::new(FuzzJournal::open(&path).unwrap());
-        run_fuzz_resilient(Oracle::Baseline, 0xBEEF, 3, 2, None, Some(j));
-        // Second leg: full range with the same journal resumes the rest.
-        let j = std::sync::Arc::new(FuzzJournal::open(&path).unwrap());
-        assert_eq!(j.restored(), 3);
-        let resumed = run_fuzz_resilient(Oracle::Baseline, 0xBEEF, 5, 2, None, Some(j));
-        assert_eq!(resumed.restored, 3);
-        assert_eq!(resumed.report, full.report);
-        assert_eq!(resumed.failures.len(), full.failures.len());
+        let oracles = [Oracle::Baseline, Oracle::TraceParity];
+        // First legs: only the first 3 seeds, both oracles in one journal.
+        for oracle in oracles {
+            let j = std::sync::Arc::new(FuzzJournal::open(&path).unwrap());
+            run_fuzz_resilient(oracle, 0xBEEF, 3, 2, None, Some(j));
+        }
+        assert_eq!(FuzzJournal::open(&path).unwrap().restored(), 6);
+        for oracle in oracles {
+            // Uninterrupted reference campaign (no journal).
+            let full = run_fuzz_resilient(oracle, 0xBEEF, 5, 2, None, None);
+            // Second leg: the full range resumes this oracle's 3 seeds only.
+            let j = std::sync::Arc::new(FuzzJournal::open(&path).unwrap());
+            let resumed = run_fuzz_resilient(oracle, 0xBEEF, 5, 2, None, Some(j));
+            assert_eq!(resumed.restored, 3, "{oracle:?}");
+            assert_eq!(resumed.report, full.report, "{oracle:?}");
+            assert_eq!(resumed.failures.len(), full.failures.len());
+        }
+        // Both second legs journaled their two fresh seeds.
+        assert_eq!(FuzzJournal::open(&path).unwrap().restored(), 10);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -955,6 +958,7 @@ mod tests {
         use std::io::Write;
         let outcome = |seed, runs| SeedOutcome {
             seed,
+            oracle: Oracle::Baseline,
             runs,
             instructions: 10 * runs,
             failure: None,
@@ -983,16 +987,18 @@ mod tests {
             }
             let j = FuzzJournal::open(&path).unwrap();
             assert_eq!(j.restored(), 1 + tail_runs.is_some() as usize);
-            assert!(j.lookup(1).is_some());
+            assert!(j.lookup(Oracle::Baseline, 1).is_some());
             // The next record after the tail must survive a reopen with
             // its own counters; a torn seed stays absent, a complete one
             // keeps its own.
             j.record(&outcome(5, 2));
             drop(j);
             let j = FuzzJournal::open(&path).unwrap();
-            let five = j.lookup(5).expect("record after a torn tail is restored");
+            let five = j
+                .lookup(Oracle::Baseline, 5)
+                .expect("record after a torn tail is restored");
             assert_eq!((five.runs, five.instructions), (2, 20));
-            assert_eq!(j.lookup(3).map(|o| o.runs), tail_runs);
+            assert_eq!(j.lookup(Oracle::Baseline, 3).map(|o| o.runs), tail_runs);
             let _ = std::fs::remove_file(&path);
         }
     }

@@ -20,10 +20,10 @@
 //! to the binary trace format (`subwarp-trace`), decoded back, and the
 //! replayed workload's stats and memory image are checked bit-identical to
 //! the direct run under every grid configuration. The campaign driver,
-//! failure digest and `--deadline` are the same; `--journal` and
-//! `--resume` are refused (exit 2), because the journal is keyed by seed
-//! alone and would restore the other oracle's outcomes. A parity
-//! divergence replays with `--trace-parity` added to its replay command.
+//! failure digest, journal and `--deadline` are the same; journal lines
+//! name their oracle, so one journal can hold both campaigns and each
+//! restores only its own seeds. A parity divergence replays with
+//! `--trace-parity` added to its replay command.
 //!
 //! Campaign flags:
 //!
@@ -94,13 +94,7 @@ fn main() {
 
     let n_configs = config_grid().len();
     let jobs = subwarp_pool::default_jobs();
-    let oracle: Oracle = if trace_parity {
-        if resume || journal_path.is_some() {
-            // The journal is keyed by seed alone: it would restore the
-            // other oracle's outcomes as this one's.
-            eprintln!("--trace-parity cannot be combined with --journal or --resume");
-            usage()
-        }
+    let oracle = if trace_parity {
         eprintln!(
             "# trace-parity: {iters} programs from seed {seed}, export/replay across \
              {n_configs} configurations ({jobs} jobs)"
@@ -120,7 +114,7 @@ fn main() {
             eprintln!("cannot open journal `{path}`: {e}");
             std::process::exit(2);
         });
-        eprintln!("# journal: {path} ({} seeds restored)", j.restored());
+        eprintln!("# journal: {path} ({} outcomes on file)", j.restored());
         Some(Arc::new(j))
     } else {
         None
@@ -130,17 +124,15 @@ fn main() {
     // honoured so repeated runs converge.
     let c = run_fuzz_resilient(oracle, seed, iters, jobs, deadline, journal);
     let dt = t0.elapsed().as_secs_f64();
-    if trace_parity {
-        println!(
-            "checked: {} programs x {} configurations x 2 (direct + replay) = {} runs, {} instructions",
-            c.report.programs, n_configs, c.report.runs, c.report.instructions
-        );
+    let per_config = if trace_parity {
+        " x 2 (direct + replay)"
     } else {
-        println!(
-            "checked: {} programs x {} configurations = {} runs, {} instructions ({} restored from journal)",
-            c.report.programs, n_configs, c.report.runs, c.report.instructions, c.restored
-        );
-    }
+        ""
+    };
+    println!(
+        "checked: {} programs x {} configurations{per_config} = {} runs, {} instructions ({} restored from journal)",
+        c.report.programs, n_configs, c.report.runs, c.report.instructions, c.restored
+    );
     println!(
         "{} programs in {:.3}s ({:.1} programs/s)",
         c.report.programs,

@@ -1,30 +1,19 @@
 //! Export/replay parity over fuzzer-generated kernels: for each seed the
 //! generated workload must encode, decode bit-identically, and replay with
 //! the same `RunStats` and final memory image as the direct build under
-//! every configuration in the differential grid — serially and on the
-//! worker pool.
+//! every configuration in the differential grid.
 
-use subwarp_fuzz::{check_seed_trace_parity, FuzzReport};
-
-const SEEDS: u64 = 20;
-
-fn run(workers: usize) -> FuzzReport {
-    let mut report = FuzzReport::default();
-    for seed in 0..SEEDS {
-        if let Err(d) = check_seed_trace_parity(seed, &mut report, workers) {
-            panic!("seed {} diverged under {}: {}", d.seed, d.config, d.what);
-        }
-    }
-    report
-}
+use subwarp_fuzz::{config_grid, Oracle};
 
 #[test]
-fn twenty_seeds_replay_bit_identically_serial_and_parallel() {
-    let serial = run(1);
-    assert_eq!(serial.programs, SEEDS);
-    assert!(serial.runs > 0 && serial.instructions > 0);
-
-    let parallel = run(4);
-    // The report itself must be deterministic across worker counts.
-    assert_eq!(serial, parallel, "fuzz report depends on worker count");
+fn twenty_seeds_replay_bit_identically() {
+    for seed in 0..20 {
+        let o = Oracle::TraceParity.check(seed);
+        if let Some(d) = o.failure {
+            panic!("seed {} diverged under {}: {}", d.seed, d.config, d.what);
+        }
+        // Direct + replay under every configuration.
+        assert_eq!(o.runs, 2 * config_grid().len() as u64);
+        assert!(o.instructions > 0);
+    }
 }

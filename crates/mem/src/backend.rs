@@ -205,16 +205,17 @@ impl MemBackendConfig {
         }
     }
 
-    /// Instantiates one backend per SM of an `n_sms`-SM chip. For
-    /// [`MemBackendConfig::Hierarchical`] with two or more SMs the handles
-    /// *share* one [`Partition`] — L2 content, bank occupancy, DRAM row
-    /// state, and channel bandwidth are contended across all SMs — while
-    /// each handle keeps its own per-SM MSHR file and counters. Shareless
-    /// backends (the fixed stub, and any one-SM chip) come back as `n_sms`
-    /// independent instances with no partition.
-    pub fn build_chip(&self, fixed_latency: u64, n_sms: usize) -> ChipBackends {
+    /// Instantiates one backend per SM of an `n_sms`-SM chip. With `share`
+    /// set, [`MemBackendConfig::Hierarchical`] with two or more SMs gives
+    /// handles that *share* one [`Partition`] — L2 content, bank occupancy,
+    /// DRAM row state, and channel bandwidth are contended across all SMs —
+    /// while each handle keeps its own per-SM MSHR file and counters.
+    /// Shareless chips (the fixed stub, any one-SM chip, and private
+    /// partitions when `share` is unset) come back as `n_sms` independent
+    /// instances with no partition.
+    pub fn build_chip(&self, fixed_latency: u64, n_sms: usize, share: bool) -> ChipBackends {
         match self {
-            MemBackendConfig::Hierarchical(h) if n_sms > 1 => {
+            MemBackendConfig::Hierarchical(h) if share && n_sms > 1 => {
                 let (handles, partition) = HierarchicalBackend::new_shared(h.clone(), n_sms);
                 ChipBackends {
                     backends: handles
@@ -225,7 +226,7 @@ impl MemBackendConfig {
                 }
             }
             MemBackendConfig::Faulty { fault, inner } => {
-                let chip = inner.build_chip(fixed_latency, n_sms);
+                let chip = inner.build_chip(fixed_latency, n_sms, share);
                 ChipBackends {
                     backends: chip
                         .backends
@@ -1130,7 +1131,7 @@ mod tests {
             fault,
             inner: Box::new(MemBackendConfig::Hierarchical(cfg)),
         }
-        .build_chip(600, 3);
+        .build_chip(600, 3, true);
         let (mut v, mut p) = (chip.backends, chip.shared.expect("shared"));
         let mut now = 0;
         for i in 0..900u64 {
@@ -1226,18 +1227,18 @@ mod tests {
     #[test]
     fn build_chip_shares_hierarchical_and_isolates_fixed() {
         // Hierarchical chip handles share a partition: SM1 sees SM0's line.
-        let chip = MemBackendConfig::Hierarchical(tiny()).build_chip(600, 2);
+        let chip = MemBackendConfig::Hierarchical(tiny()).build_chip(600, 2, true);
         let (mut b, mut p) = (chip.backends, chip.shared.expect("a shared partition"));
         assert_eq!(p.lookahead(), tiny().l2_hit_latency);
         let done = b[0].miss_shared(&mut p, 0, 0x0);
         let _ = b[1].miss_shared(&mut p, done + 1, 0x0);
         assert_eq!(b[1].stats().l2.hits, 1);
         // A one-SM chip shares nothing: its backend owns its partition.
-        let mut one = MemBackendConfig::Hierarchical(tiny()).build_chip(600, 1);
+        let mut one = MemBackendConfig::Hierarchical(tiny()).build_chip(600, 1, true);
         assert!(one.shared.is_none());
         assert!(one.backends[0].miss(0, 0x0) > 0);
         // Fixed handles are independent stubs.
-        let mut fixed = MemBackendConfig::Fixed.build_chip(600, 2);
+        let mut fixed = MemBackendConfig::Fixed.build_chip(600, 2, true);
         assert!(fixed.shared.is_none());
         assert_eq!(fixed.backends[0].miss(0, 0x0), 600);
         assert_eq!(fixed.backends[1].miss(0, 0x0), 600);
@@ -1250,9 +1251,15 @@ mod tests {
             },
             inner: Box::new(MemBackendConfig::Hierarchical(tiny())),
         };
-        let chip = faulty.build_chip(600, 3);
+        let chip = faulty.build_chip(600, 3, true);
         assert_eq!(chip.backends.len(), 3);
         assert!(chip.shared.is_some());
+        // Unshared, every SM owns a private partition, Faulty-wrapped or not.
+        for cfg in [MemBackendConfig::Hierarchical(tiny()), faulty] {
+            let chip = cfg.build_chip(600, 3, false);
+            assert_eq!(chip.backends.len(), 3);
+            assert!(chip.shared.is_none());
+        }
     }
 
     #[test]

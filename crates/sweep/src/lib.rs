@@ -134,7 +134,7 @@ impl Sweep {
         if let Some(policy) = global_policy() {
             let mut policy = policy.clone();
             policy.workers = Some(workers);
-            return self.run_resilient(&policy).into_result();
+            return run_resilient(self, &policy).into_result();
         }
         let nc = self.configs.len();
         let cells = subwarp_pool::run_with_jobs(workers, self.len(), |i| {
@@ -148,13 +148,6 @@ impl Sweep {
             grid.push((&mut it).take(nc).collect::<Result<Vec<_>, _>>()?);
         }
         Ok(grid)
-    }
-
-    /// Runs the grid under a supervision policy, returning a partial grid
-    /// with labeled holes instead of dying with the first failure. See
-    /// [`run_resilient`].
-    pub fn run_resilient(&self, policy: &SweepPolicy) -> PartialGrid {
-        run_resilient(self, policy)
     }
 }
 
