@@ -83,8 +83,11 @@ pub use stats::{stats_to_units, units_to_stats, CycleCause, RunStats, N_PHASES, 
 pub use trace::{EventKind, EventRecorder, TraceEvent};
 pub use workload::{InitValue, RayResult, RegInit, RtTrace, Workload};
 
-// Memory-backend configuration and counters, re-exported so downstream
-// crates can select a backend without depending on `subwarp-mem` directly.
+// The configuration types nested in `SmConfig` (and the memory-backend
+// counters), re-exported so downstream crates can build and encode a
+// config without depending on `subwarp-mem` or `subwarp-rt` directly.
 pub use subwarp_mem::{
-    DramConfig, HierarchyConfig, MemBackendConfig, MemBackendStats, MemCounters, MemFaultConfig,
+    CacheConfig, DramConfig, HierarchyConfig, MemBackendConfig, MemBackendStats, MemCounters,
+    MemFaultConfig,
 };
+pub use subwarp_rt::RtCoreModel;

@@ -31,8 +31,12 @@
 //! that key is [`workload_hash`], the fingerprint of the canonical `.swt`
 //! encoding, whatever key named the workload: `file:tests/corpus/av1.swt`
 //! and `trace:AV1` resolve to one workload identity (their labels, and so
-//! their cell fingerprints, still differ).
+//! their cell fingerprints, still differ). The configuration half is
+//! [`encode_configs`](subwarp_trace::encode_configs), 50 to 80 bytes of
+//! varints, so a request answered from the memo store pays for parsing its
+//! knobs and one short hash, not for formatting the configs.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -88,14 +92,14 @@ pub fn resolve_workload(key: &str) -> Result<(Arc<Workload>, u64), String> {
             let bytes =
                 std::fs::read(path).map_err(|e| format!("cannot read trace file `{path}`: {e}"))?;
             let fp = subwarp_trace::trace_fingerprint(&bytes);
-            (format!("file-fp:{fp:#018x}"), Some(bytes))
+            (Cow::Owned(format!("file-fp:{fp:#018x}")), Some(bytes))
         }
-        None => (key.to_owned(), None),
+        None => (Cow::Borrowed(key), None),
     };
     if let Some(hit) = workload_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .get(&cache_key)
+        .get(cache_key.as_ref())
     {
         return Ok(hit.clone());
     }
@@ -107,7 +111,7 @@ pub fn resolve_workload(key: &str) -> Result<(Arc<Workload>, u64), String> {
     workload_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .insert(cache_key, (Arc::clone(&wl), hash));
+        .insert(cache_key.into_owned(), (Arc::clone(&wl), hash));
     Ok((wl, hash))
 }
 
@@ -185,6 +189,7 @@ impl JobSpec {
         let (wl, whash) = resolve_workload(wl_key)?;
 
         let mut sm = SmConfig::turing_like();
+        let default_latency = sm.miss_latency;
         if let Some(v) = req.get("latency") {
             sm.miss_latency = v.as_u64().ok_or("bad `latency`")?;
         }
@@ -238,7 +243,7 @@ impl JobSpec {
         // non-default SM knobs, so journal lines and holes read like the
         // figures' cell names.
         let mut cfg = si.label();
-        if sm.miss_latency != SmConfig::turing_like().miss_latency {
+        if sm.miss_latency != default_latency {
             cfg.push_str(&format!(",lat{}", sm.miss_latency));
         }
         let label = format!("{wl_key}/{cfg}");
