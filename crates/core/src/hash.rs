@@ -11,10 +11,17 @@ pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
         seed
     };
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = fnv1a_byte(h, b);
     }
     h
+}
+
+/// One FNV-1a step: folds `byte` into the running hash `h`. Feeding a
+/// stream through it byte by byte, from a [`fnv1a`] result, hashes as one
+/// [`fnv1a`] call over the whole stream would.
+#[inline]
+pub fn fnv1a_byte(h: u64, byte: u8) -> u64 {
+    (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 #[cfg(test)]
@@ -27,5 +34,6 @@ mod tests {
         assert_eq!(fnv1a(0, b""), 0xcbf2_9ce4_8422_2325);
         // And hashing is chainable.
         assert_eq!(fnv1a(fnv1a(0, b"ab"), b"c"), fnv1a(0, b"abc"));
+        assert_eq!(fnv1a_byte(fnv1a(0, b"ab"), b'c'), fnv1a(0, b"abc"));
     }
 }

@@ -75,7 +75,7 @@ mod workload;
 pub use config::{DivergeOrder, SchedulerPolicy, SelectPolicy, SiConfig, SmConfig, WARP_SIZE};
 pub use error::{mask_lanes, InvariantLevel, SimError, StateSnapshot, WarpSnapshot};
 pub use fault::{FaultKind, FaultPlan};
-pub use hash::fnv1a;
+pub use hash::{fnv1a, fnv1a_byte};
 pub use image::MemoryImage;
 pub use profile::{ChromeTraceProfiler, CounterSample, Profiler};
 pub use sm::{Simulator, DEADLOCK_WINDOW, ICACHE_LINE};
@@ -84,8 +84,9 @@ pub use trace::{EventKind, EventRecorder, TraceEvent};
 pub use workload::{InitValue, RayResult, RegInit, RtTrace, Workload};
 
 // The configuration types nested in `SmConfig` (and the memory-backend
-// counters), re-exported so downstream crates can build and encode a
-// config without depending on `subwarp-mem` or `subwarp-rt` directly.
+// counters), re-exported so downstream crates can build a config, and
+// the sweep's cell key walk it, without depending on `subwarp-mem` or
+// `subwarp-rt` directly.
 pub use subwarp_mem::{
     CacheConfig, DramConfig, HierarchyConfig, MemBackendConfig, MemBackendStats, MemCounters,
     MemFaultConfig,

@@ -4,8 +4,8 @@
 //! subwarp-router --shard ADDR [--shard ADDR]... [--listen ADDR]
 //!                [--replicas N] [--connect-timeout-ms N]
 //!                [--ping-timeout-ms N] [--run-timeout-ms N] [--retries N]
-//!                [--health-interval-ms N] [--jitter-seed N]
-//!                [--max-line BYTES] [--io-timeout-ms N]
+//!                [--health-interval-ms N] [--max-line BYTES]
+//!                [--io-timeout-ms N]
 //! ```
 //!
 //! Speaks the same NDJSON protocol as `subwarp-serve` and forwards each
@@ -61,7 +61,6 @@ fn parse_args() -> Result<Args, String> {
             "--run-timeout-ms" => cfg.run_timeout = ms(next(&mut i, flag)?, flag)?,
             "--retries" => cfg.attempts = parse(&next(&mut i, flag)?, flag)?,
             "--health-interval-ms" => cfg.health_interval = ms(next(&mut i, flag)?, flag)?,
-            "--jitter-seed" => cfg.backoff.jitter_seed = parse(&next(&mut i, flag)?, flag)?,
             "--max-line" => max_line = parse(&next(&mut i, flag)?, flag)?,
             "--io-timeout-ms" => io_timeout_ms = parse(&next(&mut i, flag)?, flag)?,
             "--help" | "-h" => {
@@ -97,7 +96,6 @@ const HELP: &str = "subwarp-router: fingerprint-sharded front door for subwarp-s
   --run-timeout-ms N      forwarded-run read deadline (default 120000)
   --retries N             dial attempts per live owner (default 3)
   --health-interval-ms N  pause between prober sweeps (default 500)
-  --jitter-seed N         retry-backoff jitter seed
   --max-line BYTES        max client request line (default 65536)
   --io-timeout-ms N       client connection deadline, 0 = none
                           (default 120000)

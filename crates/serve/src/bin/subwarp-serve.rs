@@ -3,19 +3,17 @@
 //! ```text
 //! subwarp-serve [--listen ADDR] [--store PATH] [--queue-cap N] [--quota N]
 //!               [--workers N] [--deadline-ms N] [--attempts N] [--batch N]
-//!               [--drain-grace-ms N] [--jitter-seed N]
-//!               [--max-line BYTES] [--io-timeout-ms N] [--compact-at BYTES]
-//!               [--fault-seed N] [--fault-panics PM] [--fault-errors PM]
-//!               [--fault-delays PM] [--fault-delay-ms N]
-//!               [--fault-clears-after N]
+//!               [--drain-grace-ms N] [--max-line BYTES]
+//!               [--io-timeout-ms N] [--compact-at BYTES]
 //! subwarp-serve compact --store PATH [--max-bytes N] [--max-entries N]
 //! ```
 //!
 //! Listens for NDJSON job requests, executes them under supervision, and
 //! memoizes results in a crash-safe journal (`--store`). SIGTERM or SIGINT
 //! triggers a graceful drain: stop accepting, finish and journal accepted
-//! work, exit 0. The `--fault-*` flags inject deterministic chaos for the
-//! robustness tests.
+//! work, exit 0. The robustness tests inject deterministic chaos and seed
+//! the retry backoff through [`ServerConfig`] (`faults`, `jitter_seed`),
+//! which no flag sets.
 //!
 //! `--compact-at BYTES` bounds the journal: when it grows past the
 //! threshold, a background pass rewrites it crash-consistently keeping the
@@ -29,7 +27,6 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use subwarp_core::FaultPlan;
 use subwarp_serve::listen::{accept_loop, install_signal_handlers, terminated, Conns};
 use subwarp_serve::server::Phase;
 use subwarp_serve::wire::{tcp_handler, WireLimits};
@@ -49,8 +46,6 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
     let mut listen = "127.0.0.1:7077".to_owned();
     let mut store = None;
     let mut cfg = ServerConfig::default();
-    let mut faults = FaultPlan::none(0);
-    let mut chaos = false;
     let mut max_line = WireLimits::default().max_line;
     // Generous by default: the deadline only fires while *waiting* for the
     // next request line (a stalled or vanished peer), never while a
@@ -82,34 +77,9 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
             "--drain-grace-ms" => {
                 cfg.drain_grace = Duration::from_millis(parse(&next(&mut i, flag)?, flag)?)
             }
-            "--jitter-seed" => cfg.jitter_seed = parse(&next(&mut i, flag)?, flag)?,
             "--max-line" => max_line = parse(&next(&mut i, flag)?, flag)?,
             "--io-timeout-ms" => io_timeout_ms = parse(&next(&mut i, flag)?, flag)?,
             "--compact-at" => compact_at = Some(parse(&next(&mut i, flag)?, flag)?),
-            "--fault-seed" => {
-                faults.seed = parse(&next(&mut i, flag)?, flag)?;
-                chaos = true;
-            }
-            "--fault-panics" => {
-                faults.panic_per_mille = parse(&next(&mut i, flag)?, flag)?;
-                chaos = true;
-            }
-            "--fault-errors" => {
-                faults.error_per_mille = parse(&next(&mut i, flag)?, flag)?;
-                chaos = true;
-            }
-            "--fault-delays" => {
-                faults.delay_per_mille = parse(&next(&mut i, flag)?, flag)?;
-                chaos = true;
-            }
-            "--fault-delay-ms" => {
-                faults.delay_ms = parse(&next(&mut i, flag)?, flag)?;
-                chaos = true;
-            }
-            "--fault-clears-after" => {
-                faults.clears_after = Some(parse(&next(&mut i, flag)?, flag)?);
-                chaos = true;
-            }
             "--help" | "-h" => {
                 println!("{}", HELP);
                 std::process::exit(0);
@@ -124,9 +94,6 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
         return Err(
             "--compact-at needs --store (an in-memory store has no file to compact)".into(),
         );
-    }
-    if chaos {
-        cfg.faults = Some(faults);
     }
     Ok(Args {
         listen,
@@ -153,14 +120,12 @@ const HELP: &str = "subwarp-serve: crash-safe simulation job daemon (NDJSON over
   --attempts N           attempts per job, >1 retries faults (default 2)
   --batch N              max jobs per supervised batch (default 8)
   --drain-grace-ms N     drain grace before cancelling (default 30000)
-  --jitter-seed N        retry-backoff jitter seed (default 0x5EED)
   --max-line BYTES       max request line length (default 65536)
   --io-timeout-ms N      per-connection read/write deadline, 0 = none
                          (default 120000)
   --compact-at BYTES     compact the journal when it grows past this,
                          keeping the most-recently-used half (default: off;
                          needs --store)
-  --fault-*              deterministic chaos injection (see DESIGN.md)
 
 subcommand `compact`: offline journal compaction against a stopped store:
   subwarp-serve compact --store PATH [--max-bytes N] [--max-entries N]

@@ -31,12 +31,11 @@
 //! that key is [`workload_hash`], the fingerprint of the canonical `.swt`
 //! encoding, whatever key named the workload: `file:tests/corpus/av1.swt`
 //! and `trace:AV1` resolve to one workload identity (their labels, and so
-//! their cell fingerprints, still differ). The configuration half is
-//! [`encode_configs`](subwarp_trace::encode_configs), 50 to 80 bytes of
-//! varints, so a request answered from the memo store pays for parsing its
-//! knobs and one short hash, not for formatting the configs.
+//! their cell fingerprints, still differ). The configuration half is a walk
+//! of both configs' fields straight into the hash, so a request answered
+//! from the memo store pays for parsing its knobs and one short hash, not
+//! for formatting or buffering the configs.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -63,12 +62,18 @@ pub struct JobSpec {
     pub si: SiConfig,
 }
 
-/// Cache value: the shared workload plus its precomputed content hash.
-type CachedWorkload = (Arc<Workload>, u64);
+/// Cache value: the shared workload, its precomputed content hash, and for
+/// a `file:` key the bytes it was decoded from.
+struct CachedWorkload {
+    wl: Arc<Workload>,
+    hash: u64,
+    file: Option<Vec<u8>>,
+}
 
-/// Process-wide workload cache: building a trace means re-tracing rays
-/// through a BVH (milliseconds), so each distinct workload key is built
-/// once and shared across every job and worker thread.
+/// Process-wide workload cache, keyed by the request's workload key:
+/// building a trace means re-tracing rays through a BVH (milliseconds), so
+/// each distinct workload key is built once and shared across every job and
+/// worker thread.
 fn workload_cache() -> &'static Mutex<HashMap<String, CachedWorkload>> {
     static CACHE: OnceLock<Mutex<HashMap<String, CachedWorkload>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
@@ -83,35 +88,38 @@ const MICRO_ITERATIONS: &str = "16";
 /// workload and its [`workload_hash`] key. A canonical trace file keys the
 /// same as the workload it was recorded from.
 pub fn resolve_workload(key: &str) -> Result<(Arc<Workload>, u64), String> {
-    // A file's build is cached by its content, not its path: an edited
-    // file is a new build (and, through `workload_hash`, a new identity, so
-    // the memo store stays sound), while a re-request of unchanged bytes
-    // shares the decoded build.
-    let (cache_key, file) = match key.strip_prefix("file:") {
-        Some(path) => {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read trace file `{path}`: {e}"))?;
-            let fp = subwarp_trace::trace_fingerprint(&bytes);
-            (Cow::Owned(format!("file-fp:{fp:#018x}")), Some(bytes))
-        }
-        None => (Cow::Borrowed(key), None),
-    };
+    // A file is read on every request and its cached build is used only
+    // while the file still holds exactly the bytes it was decoded from: an
+    // edited file replaces its entry (and, through `workload_hash`, is a new
+    // identity, so the memo store stays sound).
+    let file = key
+        .strip_prefix("file:")
+        .map(|path| {
+            std::fs::read(path).map_err(|e| format!("cannot read trace file `{path}`: {e}"))
+        })
+        .transpose()?;
     if let Some(hit) = workload_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .get(cache_key.as_ref())
+        .get(key)
+        .filter(|hit| hit.file == file)
     {
-        return Ok(hit.clone());
+        return Ok((Arc::clone(&hit.wl), hit.hash));
     }
-    let wl = Arc::new(match file {
-        Some(bytes) => subwarp_trace::decode_workload(&bytes).map_err(|e| e.to_string())?,
+    let wl = Arc::new(match &file {
+        Some(bytes) => subwarp_trace::decode_workload(bytes).map_err(|e| e.to_string())?,
         None => build_workload(key)?,
     });
     let hash = workload_hash(&wl);
+    let entry = CachedWorkload {
+        wl: Arc::clone(&wl),
+        hash,
+        file,
+    };
     workload_cache()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .insert(cache_key.into_owned(), (Arc::clone(&wl), hash));
+        .insert(key.to_owned(), entry);
     Ok((wl, hash))
 }
 
@@ -436,6 +444,30 @@ mod tests {
         let missing = spec(r#"{"workload":"file:/nonexistent/nope.swt"}"#);
         let err = missing.err().expect("missing file must be rejected");
         assert!(err.contains("cannot read trace file"));
+    }
+
+    #[test]
+    fn file_keys_follow_the_bytes_at_their_path() {
+        let toy = subwarp_trace::encode_workload(&figure9_workload());
+        let micro_wl = subwarp_workloads::microbenchmark(8, 16);
+        let micro = subwarp_trace::encode_workload(&micro_wl);
+        let path = std::env::temp_dir().join("subwarp-serve-spec-file-edit.swt");
+        let key = format!("file:{}", path.display());
+        std::fs::write(&path, &toy).unwrap();
+        let (first, toy_hash) = resolve_workload(&key).unwrap();
+        assert_eq!(toy_hash, subwarp_trace::trace_fingerprint(&toy));
+        // Other bytes at the same path are another workload, even though
+        // the key names the same file...
+        std::fs::write(&path, &micro).unwrap();
+        let (edited, micro_hash) = resolve_workload(&key).unwrap();
+        assert!(*edited == micro_wl);
+        assert_eq!(micro_hash, subwarp_trace::trace_fingerprint(&micro));
+        // ...and the original bytes key as they did before the edit.
+        std::fs::write(&path, &toy).unwrap();
+        let (back, hash) = resolve_workload(&key).unwrap();
+        assert!(back == first);
+        assert_eq!(hash, toy_hash);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

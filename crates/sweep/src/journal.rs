@@ -10,6 +10,7 @@ use std::sync::Mutex;
 
 use subwarp_core::{stats_to_units, units_to_stats, RunStats};
 
+use crate::fingerprint::JOURNAL_VERSION;
 use crate::json::{append_line, create_parent_dir, json_escape, open_jsonl, Value};
 
 /// Appends `"u":[..],"ch":[..]`, the exact integer encoding of `stats`
@@ -136,21 +137,6 @@ fn acquire_lock(journal_path: &Path) -> std::io::Result<LockGuard> {
 
 // ---------------------------------------------------------------- journal
 
-/// The `"v"` of every journal line this build writes, and the only one
-/// [`Journal::open`] loads: the one version of the key derivation. Bumped
-/// whenever [`cell_fingerprint`](crate::cell_fingerprint) changes what it
-/// hashes — the config bytes of
-/// [`encode_configs`](subwarp_trace::encode_configs), the trace
-/// [`FORMAT_VERSION`](subwarp_trace::FORMAT_VERSION) folded into every
-/// workload key, or how the parts are chained — since a line of another
-/// version carries a key no current key can equal. Version 2 keys configs
-/// by `encode_configs`.
-pub const JOURNAL_VERSION: u64 = 2;
-
-// A trace format bump moves every workload key, so it cannot land without
-// a look at `JOURNAL_VERSION`: bump both, then this pin.
-const _: () = assert!(subwarp_trace::FORMAT_VERSION == 1);
-
 /// An append-only JSONL checkpoint journal of completed simulation results,
 /// keyed by content fingerprint.
 ///
@@ -164,11 +150,14 @@ const _: () = assert!(subwarp_trace::FORMAT_VERSION == 1);
 /// [`cell_fingerprint`](crate::cell_fingerprint) in hex, `u` the 44
 /// fixed-order integer fields of `RunStats`, `ch` the per-channel DRAM
 /// busy-cycle vector. Opening a journal loads every well-formed line of the
-/// current version (last write wins) and positions the file for appending;
-/// lines of another version are keyed by fingerprints no current key can
-/// equal, so they are skipped and dropped by the next compaction. Each
-/// [`record`](Journal::record) is flushed immediately so a killed writer
-/// loses only in-flight cells.
+/// current version (last write wins) and positions the file for appending.
+/// Lines of another version are keyed by fingerprints no current key can
+/// equal: they are skipped, and when there were any, `open` rewrites the
+/// file without them through a [`CompactPolicy::keep_all`] compaction
+/// before returning, so they are parsed once, not on every restart. That
+/// rewrite is a pass on the new handle and counts as one of its
+/// [`compactions`](Journal::compactions). Each [`record`](Journal::record)
+/// is flushed immediately so a killed writer loses only in-flight cells.
 ///
 /// Opening takes an **exclusive lock** (a `<path>.lock` sentinel recording
 /// the holder's PID): a second simultaneous writer fails fast with an error
@@ -310,18 +299,21 @@ impl Journal {
     /// Opens (creating if absent) the journal at `path`, taking the
     /// exclusive lock and loading previously completed cells. Malformed
     /// lines — e.g. the torn tail of a killed run — and lines of another
-    /// [`JOURNAL_VERSION`] are skipped, and a last
-    /// line without its newline is ended so the next record starts a line
-    /// of its own ([`open_jsonl`]). Fails with
-    /// [`ErrorKind::WouldBlock`] naming the holder when another live
+    /// [`JOURNAL_VERSION`] are skipped, and a last line without its newline
+    /// is ended so the next record starts a line of its own
+    /// ([`open_jsonl`]). When any line of another version was skipped, the
+    /// file is compacted before `open` returns (see the type docs). Fails
+    /// with [`ErrorKind::WouldBlock`] naming the holder when another live
     /// process holds the lock.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Journal> {
         let path = path.as_ref().to_path_buf();
         create_parent_dir(&path)?;
         let lock = acquire_lock(&path)?;
         let mut state = JournalState::default();
+        let mut other_versions = false;
         let file = open_jsonl(&path, |line, v| {
             if v.get("v").and_then(Value::as_u64) != Some(JOURNAL_VERSION) {
+                other_versions = true;
                 return;
             }
             let fp = v
@@ -335,7 +327,7 @@ impl Journal {
                 state.bump(fp);
             }
         })?;
-        Ok(Journal {
+        let journal = Journal {
             restored: state.completed.len(),
             state: Mutex::new(state),
             compactions: AtomicU64::new(0),
@@ -344,7 +336,11 @@ impl Journal {
                 file: Mutex::new(file),
                 _lock: lock,
             }),
-        })
+        };
+        if other_versions {
+            journal.compact(&CompactPolicy::keep_all())?;
+        }
+        Ok(journal)
     }
 
     /// A journal with no file and no lock: lookups, records and the
@@ -565,7 +561,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lines_of_another_version_are_skipped_on_open() {
+    fn lines_of_another_version_are_skipped_and_dropped_on_open() {
         let path = std::env::temp_dir().join(format!(
             "subwarp_sweep_journal_version_{}.jsonl",
             std::process::id()
@@ -575,27 +571,32 @@ mod tests {
             cycles: 7,
             ..RunStats::default()
         };
-        let mut old = String::from("{\"v\":1,\"fp\":\"00000000000000aa\",\"label\":\"old\",");
-        push_stats_json(&mut old, &stats);
-        old.push_str("}\n");
-        std::fs::write(&path, old).unwrap();
+        let line = |v: u64, fp: u64| {
+            let mut l = format!("{{\"v\":{v},\"fp\":\"{fp:016x}\",\"label\":\"c\",");
+            push_stats_json(&mut l, &stats);
+            l.push_str("}\n");
+            l
+        };
+        let current = [line(JOURNAL_VERSION, 0xbb), line(JOURNAL_VERSION, 0xcc)].concat();
+        let mixed = [line(1, 0xaa), line(JOURNAL_VERSION, 0xbb), line(1, 0xdd)].concat()
+            + &line(JOURNAL_VERSION, 0xcc);
+        std::fs::write(&path, mixed).unwrap();
+
+        // Opening loads the current lines and rewrites the file without the
+        // others, so no later open parses them again.
         let j = Journal::open(&path).unwrap();
-        j.record(0xbb, "new", &stats);
+        assert_eq!((j.restored(), j.len(), j.compactions()), (2, 2, 1));
+        assert!(j.lookup(0xaa).is_none() && j.lookup(0xdd).is_none());
+        assert_eq!(j.lookup(0xbb), Some(stats.clone()));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), current);
         drop(j);
 
+        // A file of current lines only is left as it is.
         let j = Journal::open(&path).unwrap();
-        assert_eq!((j.restored(), j.len()), (1, 1));
-        assert!(j.lookup(0xaa).is_none());
-        assert_eq!(j.lookup(0xbb), Some(stats));
-        let compacted = j.compact(&CompactPolicy::keep_all()).unwrap();
-        assert_eq!(compacted.kept, 1);
+        assert_eq!((j.restored(), j.compactions()), (2, 0));
+        assert_eq!(j.lookup(0xcc), Some(stats));
         drop(j);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.starts_with("{\"v\":2,\"fp\":\"00000000000000bb\""),
-            "{text}"
-        );
-        assert_eq!(text.lines().count(), 1, "{text}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), current);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,9 +12,9 @@
 //!    whole-file checksum — that round-trips any workload *byte-identically*:
 //!    decoding an encoded trace yields a workload equal in every field, and
 //!    re-encoding it reproduces the exact bytes. [`trace_fingerprint`] keys
-//!    memoization (sweep journals, the job daemon) on trace content, and
-//!    [`encode_configs`] is the matching canonical encoding of the SM and
-//!    SI configurations a cell runs under.
+//!    memoization (sweep journals, the job daemon) on trace content; the
+//!    configurations a cell runs under are keyed beside it by
+//!    `subwarp_sweep::cell_fingerprint`.
 //!
 //! 2. **The Accel-Sim-subset text importer** ([`import_text`]): a documented
 //!    subset of the Accel-Sim kernel-trace shape — kernel header, per-warp
@@ -43,14 +43,12 @@
 //!   serialized under different format versions never collides in a
 //!   memo journal.
 
-mod config;
 mod error;
 mod format;
 mod import;
 mod replay;
 mod wire;
 
-pub use config::encode_configs;
 pub use error::TraceError;
 pub use format::{decode_workload, encode_workload, trace_fingerprint, FORMAT_VERSION, MAGIC};
 pub use import::{import_text, ImportMode, ImportReport, Imported};

@@ -54,16 +54,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an unsigned LEB128 varint: seven bits per byte, low bits
-    /// first, the high bit set on every byte but the last.
-    pub fn varint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.buf.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.buf.push(v as u8);
-    }
-
     /// Appends a length-prefixed (u32) UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
@@ -194,18 +184,6 @@ mod tests {
         assert_eq!(r.i64().unwrap(), -42);
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn varints_are_leb128() {
-        let mut w = Writer::new();
-        for v in [0, 1, 0x7f, 0x80, 600, u64::MAX] {
-            w.varint(v);
-        }
-        let mut want = vec![0x00, 0x01, 0x7f, 0x80, 0x01, 0xd8, 0x04];
-        want.extend([0xff; 9]);
-        want.push(0x01);
-        assert_eq!(w.into_bytes(), want);
     }
 
     #[test]

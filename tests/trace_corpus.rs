@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use subwarp_bench::{fig12a_sweep, si_configs};
-use subwarp_core::{SiConfig, SmConfig};
+use subwarp_core::{HierarchyConfig, MemBackendConfig, MemFaultConfig, SiConfig, SmConfig};
 use subwarp_sweep::{cell_fingerprint, workload_hash};
 use subwarp_trace::{
     decode_workload, encode_workload, import_text, trace_fingerprint, workload_digest, ImportMode,
@@ -165,6 +165,32 @@ fn av1_fig12a_keys_are_pinned() {
     .map(|(l, fp)| (l.to_owned(), fp))
     .collect();
     assert_eq!(got, want);
+}
+
+#[test]
+fn hierarchical_and_faulty_keys_are_pinned() {
+    // The AV1 literals above cover only the fixed backend; these pin the
+    // two nested backends, every field of which reaches the key.
+    let toy = workload_hash(&figure9_workload());
+    let hier = MemBackendConfig::Hierarchical(HierarchyConfig::turing_like());
+    let faulty = MemBackendConfig::Faulty {
+        fault: MemFaultConfig {
+            seed: 0x5eed,
+            drop_per_mille: 3,
+            delay_per_mille: 250,
+            delay_cycles: 400,
+        },
+        inner: Box::new(hier.clone()),
+    };
+    let key = |mem_backend: &MemBackendConfig| {
+        let sm = SmConfig {
+            mem_backend: mem_backend.clone(),
+            ..SmConfig::turing_like()
+        };
+        cell_fingerprint("toy/Both,N>=0.5", toy, &sm, &SiConfig::best())
+    };
+    assert_eq!(key(&hier), 0xfd0a_c48a_7c39_3559);
+    assert_eq!(key(&faulty), 0xc788_4a6c_fe1a_be89);
 }
 
 #[test]
