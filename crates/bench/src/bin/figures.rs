@@ -38,11 +38,9 @@
 //! failures that are fully accounted for by labeled sweep holes are
 //! tolerated up to a budget of N holes total (exit 0); any failure *not*
 //! backed by holes — a logic error rather than a faulted cell — or a hole
-//! count above the budget still exits nonzero. `--max-holes` alone
-//! installs no sweep policy (only `--resume`, `--journal`, `--deadline` and
-//! `--attempts` do), so a failing cell then aborts its sweep instead of
-//! becoming a hole, and the failure is never tolerated; `chaos` runs under
-//! its own policy.
+//! count above the budget still exits nonzero. Every sweep runs
+//! supervised, so a failing cell is always a counted hole; `chaos` runs
+//! under its own policy.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -86,10 +84,14 @@ fn main() {
                 })
             }
             "--deadline" => {
-                deadline_secs = it.next().and_then(|s| s.parse().ok()).or_else(|| {
-                    eprintln!("--deadline needs a positive integer of seconds");
-                    std::process::exit(2);
-                })
+                deadline_secs = it
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n >= 1)
+                    .or_else(|| {
+                        eprintln!("--deadline needs a positive integer of seconds");
+                        std::process::exit(2);
+                    })
             }
             "--attempts" => {
                 attempts = it
@@ -104,29 +106,27 @@ fn main() {
             other => which.push(other),
         }
     }
-    if resume || journal_path.is_some() || deadline_secs.is_some() || attempts > 1 {
-        let mut policy = SweepPolicy {
-            deadline: deadline_secs.map(Duration::from_secs),
-            max_attempts: attempts,
-            ..SweepPolicy::default()
-        };
-        if resume || journal_path.is_some() {
-            let path = journal_path
-                .clone()
-                .unwrap_or_else(|| "results/figures_journal.jsonl".into());
-            match Journal::open(&path) {
-                Ok(j) => {
-                    eprintln!("journal: {path} ({} cells restored)", j.restored());
-                    policy.journal = Some(Arc::new(j));
-                }
-                Err(e) => {
-                    eprintln!("cannot open journal {path}: {e}");
-                    std::process::exit(2);
-                }
+    let mut policy = SweepPolicy {
+        deadline: deadline_secs.map(Duration::from_secs),
+        max_attempts: attempts,
+        ..SweepPolicy::default()
+    };
+    if resume || journal_path.is_some() {
+        let path = journal_path
+            .clone()
+            .unwrap_or_else(|| "results/figures_journal.jsonl".into());
+        match Journal::open(&path) {
+            Ok(j) => {
+                eprintln!("journal: {path} ({} cells restored)", j.restored());
+                policy.journal = Some(Arc::new(j));
+            }
+            Err(e) => {
+                eprintln!("cannot open journal {path}: {e}");
+                std::process::exit(2);
             }
         }
-        install_global_policy(policy);
     }
+    install_global_policy(policy);
     if which.is_empty() && !trace_files.is_empty() {
         which = vec!["trace"];
     } else if which.is_empty() || which.contains(&"all") {

@@ -7,6 +7,7 @@
 //! surrounding sweep uses.
 
 use subwarp_core::{HierarchyConfig, MemBackendConfig, SiConfig, Simulator, SmConfig};
+use subwarp_pool::{run_supervised, Supervisor};
 use subwarp_workloads::{microbenchmark_with, MicroConfig};
 
 fn chip_sm(n_sms: usize) -> SmConfig {
@@ -30,14 +31,18 @@ fn chip_run_is_deterministic_across_job_counts() {
     let reference = Simulator::new(chip_sm(4), SiConfig::best())
         .run_with_memory(&wl)
         .expect("chip run");
+    let labels: Vec<String> = (0..4).map(|i| format!("chip{i}")).collect();
     for jobs in [1, 8] {
+        let sup = Supervisor {
+            workers: jobs,
+            ..Supervisor::default()
+        };
         let wl = std::sync::Arc::clone(&wl);
-        let out = subwarp_pool::run_with_jobs(jobs, 4, |_| {
-            Simulator::new(chip_sm(4), SiConfig::best())
-                .run_with_memory(&wl)
-                .expect("chip run")
+        let out = run_supervised(&sup, &labels, move |_, _| {
+            Simulator::new(chip_sm(4), SiConfig::best()).run_with_memory(&wl)
         });
-        for (stats, image) in out {
+        for result in out {
+            let (stats, image) = result.expect("chip run");
             assert_eq!(stats, reference.0, "chip stats diverged at jobs={jobs}");
             assert_eq!(image, reference.1, "chip image diverged at jobs={jobs}");
         }

@@ -691,63 +691,52 @@ pub fn run_fuzz_resilient(
 ) -> CampaignOutcome {
     use subwarp_pool::Supervisor;
 
-    let mut outcomes: Vec<Option<SeedOutcome>> = (0..iters)
-        .map(|i| journal.as_ref()?.lookup(oracle, seed.wrapping_add(i)))
+    let labels: Vec<String> = (0..iters)
+        .map(|i| format!("seed {}", seed.wrapping_add(i)))
         .collect();
-    let restored = outcomes.iter().filter(|o| o.is_some()).count() as u64;
-    let pending: Vec<u64> = (0..iters)
-        .filter(|&i| outcomes[i as usize].is_none())
-        .collect();
-    if !pending.is_empty() {
-        let labels: Vec<String> = pending
-            .iter()
-            .map(|&i| format!("seed {}", seed.wrapping_add(i)))
-            .collect();
-        let sup = Supervisor {
-            workers,
-            deadline,
-            ..Supervisor::default()
-        };
-        let job_pending = pending.clone();
-        let job_journal = journal.clone();
-        let checked = subwarp_pool::run_supervised::<SeedOutcome, String, _>(
-            &sup,
-            &labels,
-            move |k, _attempt| {
-                let outcome = oracle.check(seed.wrapping_add(job_pending[k]));
-                if let Some(j) = &job_journal {
-                    j.record(&outcome);
-                }
-                Ok(outcome)
-            },
-        );
-        for (k, result) in checked.into_iter().enumerate() {
-            let s = seed.wrapping_add(pending[k]);
-            outcomes[pending[k] as usize] = Some(match result {
-                Ok(o) => o,
-                // Supervision failures (panic/timeout) synthesize a
-                // reproducible failure record of their own.
-                Err(e) => SeedOutcome {
-                    seed: s,
-                    oracle,
-                    runs: 0,
-                    instructions: 0,
-                    failure: Some(Divergence {
-                        seed: s,
-                        oracle,
-                        config: "<supervisor>".into(),
-                        what: e.cause.to_string(),
-                    }),
-                },
-            });
+    let sup = Supervisor {
+        workers,
+        deadline,
+        ..Supervisor::default()
+    };
+    // Each job restores its seed from the journal or checks it, and says
+    // which it did.
+    let checked = subwarp_pool::run_supervised::<_, String, _>(&sup, &labels, move |k, _| {
+        let s = seed.wrapping_add(k as u64);
+        if let Some(o) = journal.as_ref().and_then(|j| j.lookup(oracle, s)) {
+            return Ok((o, true));
         }
-    }
+        let outcome = oracle.check(s);
+        if let Some(j) = &journal {
+            j.record(&outcome);
+        }
+        Ok((outcome, false))
+    });
     let mut report = FuzzReport::default();
     let mut failures = Vec::new();
-    for o in outcomes
-        .into_iter()
-        .map(|o| o.expect("every seed resolved"))
-    {
+    let mut restored = 0;
+    for (k, result) in checked.into_iter().enumerate() {
+        let s = seed.wrapping_add(k as u64);
+        let o = match result {
+            Ok((o, from_journal)) => {
+                restored += u64::from(from_journal);
+                o
+            }
+            // Supervision failures (panic/timeout) synthesize a
+            // reproducible failure record of their own.
+            Err(e) => SeedOutcome {
+                seed: s,
+                oracle,
+                runs: 0,
+                instructions: 0,
+                failure: Some(Divergence {
+                    seed: s,
+                    oracle,
+                    config: "<supervisor>".into(),
+                    what: e.cause.to_string(),
+                }),
+            },
+        };
         report.programs += 1;
         report.runs += o.runs;
         report.instructions += o.instructions;

@@ -67,7 +67,13 @@ fn main() {
         match a.as_str() {
             "--seed" => seed = next("--seed"),
             "--iters" => iters = next("--iters"),
-            "--deadline" => deadline = Some(Duration::from_secs(next("--deadline"))),
+            "--deadline" => match next("--deadline") {
+                0 => {
+                    eprintln!("--deadline needs a positive number of seconds");
+                    usage()
+                }
+                secs => deadline = Some(Duration::from_secs(secs)),
+            },
             "--dump" => dump = true,
             "--trace-parity" => trace_parity = true,
             "--resume" => resume = true,

@@ -1,49 +1,49 @@
 #![warn(missing_docs)]
 
-//! # subwarp-pool — a scoped-thread worker pool for embarrassingly
-//! parallel sweeps
+//! # subwarp-pool — a supervised worker pool for embarrassingly parallel
+//! sweeps
 //!
-//! The simulator's experiment sweeps (figures, tables, fuzzing batches) are
-//! cartesian grids of completely independent `Simulator::run` calls. This
-//! crate fans such a grid out across OS threads with three guarantees:
+//! The simulator's experiment sweeps (figures, tables, fuzzing batches,
+//! the service daemon's batches) are sets of completely independent
+//! `Simulator::run` calls. [`run_supervised`] is the one way the workspace
+//! runs such a batch, with four guarantees:
 //!
 //! 1. **No external dependencies.** Built on [`std::thread`] (and the
 //!    workspace's std-only `subwarp-prng` mixer for backoff jitter), so the
-//!    workspace stays offline. [`run_with_jobs`] uses
-//!    [`std::thread::scope`], so borrowed (non-`'static`) job closures work.
+//!    workspace stays offline.
 //! 2. **Deterministic results.** Jobs are identified by index `0..n_jobs`
 //!    and results are returned ordered by that index, regardless of which
-//!    worker ran which job or in what order they finished. A parallel sweep
+//!    worker ran which job or in what order they finished. A parallel batch
 //!    is therefore byte-identical to the serial one.
 //! 3. **Dynamic scheduling.** Workers claim job indices from a shared
 //!    atomic counter (self-scheduling with chunk size 1 — the degenerate
 //!    but contention-free form of work stealing), so a grid mixing 2 ms
 //!    microbenchmark runs with 400 ms megakernel runs still load-balances.
+//! 4. **Isolation.** Every job is wrapped in [`std::panic::catch_unwind`],
+//!    optionally bounded by a per-job soft deadline and retried with capped
+//!    exponential backoff; the result is one labeled
+//!    `Result<T, JobError<E>>` per job, never a cross-job abort. Only real
+//!    wall-clock timeouts depend on the host.
 //!
 //! The worker count defaults to the host parallelism and can be pinned with
-//! the `SUBWARP_JOBS` environment variable (`SUBWARP_JOBS=1` forces the
-//! serial path, useful for determinism A/B checks).
+//! the `SUBWARP_JOBS` environment variable. One worker without a deadline
+//! runs the jobs in index order on the calling thread (`SUBWARP_JOBS=1` is
+//! the serial reference schedule for determinism A/B checks).
 //!
 //! ```
-//! let squares = subwarp_pool::run_with_jobs(4, 8, |i| i * i);
+//! use subwarp_pool::{run_supervised, Supervisor};
+//! let sup = Supervisor { workers: 4, ..Supervisor::default() };
+//! let labels: Vec<String> = (0..8).map(|i| format!("job{i}")).collect();
+//! let squares: Vec<usize> = run_supervised::<_, (), _>(&sup, &labels, |i, _| Ok(i * i))
+//!     .into_iter()
+//!     .map(|r| r.unwrap())
+//!     .collect();
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
-//!
-//! ## Supervised execution
-//!
-//! Long sweeps want to *survive* individual-cell failures instead of dying
-//! with them: [`run_supervised`] wraps every job in
-//! [`std::panic::catch_unwind`], enforces an optional per-job soft deadline
-//! via a supervisor watchdog, retries failures with capped exponential
-//! backoff while attempts remain, and returns index-ordered
-//! `Vec<Result<T, JobError<E>>>` — one labeled outcome per job, never a
-//! cross-job abort. The determinism guarantee is unchanged: `Ok` payloads
-//! and fault-injected `Err` patterns are identical for serial and parallel
-//! runs (only real wall-clock timeouts depend on the host).
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use subwarp_prng::splitmix64;
@@ -89,10 +89,12 @@ thread_local! {
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Whether the calling thread is a worker spawned by [`run_with_jobs`] or
-/// [`run_supervised`]. Code that could fan out further (a multi-SM run
-/// steps its SMs on threads) stays on this one thread instead, so a sweep
-/// never oversubscribes the host.
+/// Whether the calling thread is a worker spawned by [`run_supervised`].
+/// Code that could fan out further (a multi-SM run steps its SMs on
+/// threads) stays on this one thread instead, so a sweep never
+/// oversubscribes the host. A batch that runs inline on the calling
+/// thread (one worker, no deadline) does not mark it: like any serial
+/// caller, its jobs may fan out.
 pub fn in_worker() -> bool {
     IN_WORKER.with(|w| w.get())
 }
@@ -102,74 +104,6 @@ pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Runs jobs `0..n_jobs` on exactly `workers` threads (clamped to
-/// `[1, n_jobs]`), returning results ordered by job index. `workers == 1`
-/// runs inline on the calling thread with no synchronization at all, which
-/// is the reference serial schedule for determinism tests.
-///
-/// A panicking job stops the sweep: remaining jobs are not claimed, and the
-/// *first* panic's payload is re-raised on the calling thread once all
-/// workers have parked — never a secondary "poisoned mutex" panic that
-/// would mask the original message.
-pub fn run_with_jobs<T, F>(workers: usize, n_jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.max(1).min(n_jobs.max(1));
-    if workers <= 1 || n_jobs <= 1 {
-        return (0..n_jobs).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n_jobs));
-    // First panic payload wins; later panics (and clean workers' results)
-    // are discarded. Guards are recovered with `into_inner` so one
-    // panicking worker can never poison the collection path for the rest.
-    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
-                // Finished jobs are buffered locally and published in one
-                // lock per worker batch, keeping the mutex out of the
-                // per-job path.
-                let mut local: Vec<(usize, T)> = Vec::new();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_jobs {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                        Ok(t) => local.push((i, t)),
-                        Err(payload) => {
-                            abort.store(true, Ordering::Relaxed);
-                            let mut first = panicked.lock().unwrap_or_else(|e| e.into_inner());
-                            if first.is_none() {
-                                *first = Some(payload);
-                            }
-                            break;
-                        }
-                    }
-                }
-                if !local.is_empty() {
-                    done.lock().unwrap_or_else(|e| e.into_inner()).extend(local);
-                }
-            });
-        }
-    });
-    if let Some(payload) = panicked.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        resume_unwind(payload);
-    }
-    let mut done = done.into_inner().unwrap_or_else(|e| e.into_inner());
-    done.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(done.len(), n_jobs);
-    done.into_iter().map(|(_, t)| t).collect()
 }
 
 // ---------------------------------------------------- supervised execution
@@ -328,9 +262,10 @@ impl Default for Supervisor {
     }
 }
 
-/// Per-batch state shared between workers and the supervisor.
+/// Per-batch state shared between workers and the supervisor's watchdog.
 struct Shared {
     next: AtomicUsize,
+    epoch: Instant,
     /// Microseconds-since-epoch (+1, so 0 means "not running") of the
     /// attempt currently executing each job.
     running_since: Vec<AtomicU64>,
@@ -354,18 +289,68 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Runs job `i` to its final outcome: each attempt under [`catch_unwind`],
+/// failures retried with the supervisor's backoff while attempts remain.
+/// Returns the attempts made and the outcome; a job the `cancel` flag
+/// stops before its first attempt makes none. `watch` publishes each
+/// attempt's start to the watchdog when the batch has one.
+fn run_job<T, E>(
+    sup: &Supervisor,
+    i: usize,
+    f: &impl Fn(usize, u32) -> Result<T, E>,
+    watch: Option<&Shared>,
+) -> (u32, Result<T, JobCause<E>>) {
+    let cancelled = || {
+        sup.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::SeqCst))
+    };
+    if cancelled() {
+        return (0, Err(JobCause::Cancelled));
+    }
+    let mut attempt = 1u32;
+    loop {
+        if let Some(w) = watch {
+            w.attempt_of[i].store(attempt, Ordering::SeqCst);
+            w.running_since[i].store(w.epoch.elapsed().as_micros() as u64 + 1, Ordering::SeqCst);
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| f(i, attempt)));
+        if let Some(w) = watch {
+            w.running_since[i].store(0, Ordering::SeqCst);
+        }
+        let cause = match result {
+            Ok(Ok(t)) => return (attempt, Ok(t)),
+            Ok(Err(e)) => JobCause::Err(e),
+            Err(payload) => JobCause::Panic(panic_message(payload)),
+        };
+        // A drain in progress turns remaining retries into a final
+        // verdict: report the real failure now rather than sleeping
+        // through the shutdown window.
+        if attempt >= sup.max_attempts || cancelled() {
+            return (attempt, Err(cause));
+        }
+        attempt += 1;
+        std::thread::sleep(sup.backoff.delay(i, attempt));
+    }
+}
+
 /// Runs `labels.len()` jobs under supervision and returns index-ordered
 /// per-job outcomes — one `Result` per job, never a cross-job abort.
 ///
 /// Each job `f(index, attempt)` (attempts are 1-based) is wrapped in
 /// [`catch_unwind`]; panics become [`JobCause::Panic`] with the original
 /// payload preserved. Failures retry up to [`Supervisor::max_attempts`]
-/// with the supervisor's [`Backoff`] between attempts. An
-/// optional per-job soft [`Supervisor::deadline`] is enforced by the
-/// supervising (calling) thread: an overdue job is abandoned as
-/// [`JobCause::Timeout`], a replacement worker is spawned so remaining jobs
-/// still run, and the stuck thread is left detached (it cannot be killed;
-/// a late result is discarded).
+/// with the supervisor's [`Backoff`] between attempts.
+///
+/// With one worker (after clamping to `[1, n_jobs]`) and no deadline the
+/// jobs run in index order on the calling thread: the serial reference
+/// schedule, with no thread, channel or watchdog. Otherwise they run on
+/// spawned workers, and an optional per-job soft
+/// [`Supervisor::deadline`] is enforced by the supervising (calling)
+/// thread: an overdue job is abandoned as [`JobCause::Timeout`], a
+/// replacement worker is spawned so remaining jobs still run, and the
+/// stuck thread is left detached (it cannot be killed; a late result is
+/// discarded).
 ///
 /// Determinism: `Ok` payloads — and `Err` patterns produced by
 /// deterministic job code — are identical regardless of the worker count.
@@ -384,78 +369,53 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let epoch = Instant::now();
+    let job_error = |index: usize, attempts: u32, cause: JobCause<E>| JobError {
+        index,
+        label: labels[index].clone(),
+        attempts,
+        cause,
+    };
+    let workers = sup.workers.clamp(1, n);
+    if workers == 1 && sup.deadline.is_none() {
+        return (0..n)
+            .map(|i| {
+                let (attempts, outcome) = run_job(sup, i, &f, None);
+                outcome.map_err(|cause| job_error(i, attempts, cause))
+            })
+            .collect();
+    }
     let shared = Arc::new(Shared {
         next: AtomicUsize::new(0),
+        epoch: Instant::now(),
         running_since: (0..n).map(|_| AtomicU64::new(0)).collect(),
         attempt_of: (0..n).map(|_| AtomicU32::new(0)).collect(),
     });
     let f = Arc::new(f);
     let (tx, rx) = mpsc::channel::<DoneMsg<T, E>>();
-    let sup = sup.clone();
-    let workers = sup.workers.clamp(1, n);
 
-    let spawn_worker =
-        |shared: &Arc<Shared>, tx: &mpsc::Sender<DoneMsg<T, E>>| -> std::thread::JoinHandle<()> {
-            let shared = Arc::clone(shared);
-            let tx = tx.clone();
-            let f = Arc::clone(&f);
-            let sup = sup.clone();
-            std::thread::spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = shared.next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let externally_cancelled = || {
-                        sup.cancel
-                            .as_ref()
-                            .is_some_and(|c| c.load(Ordering::SeqCst))
-                    };
-                    if externally_cancelled() {
-                        let _ = tx.send(DoneMsg {
-                            index: i,
-                            attempts: 0,
-                            outcome: Err(JobCause::Cancelled),
-                        });
-                        continue;
-                    }
-                    let mut attempt = 1u32;
-                    let outcome = loop {
-                        shared.attempt_of[i].store(attempt, Ordering::SeqCst);
-                        shared.running_since[i]
-                            .store(epoch.elapsed().as_micros() as u64 + 1, Ordering::SeqCst);
-                        let result = catch_unwind(AssertUnwindSafe(|| f(i, attempt)));
-                        shared.running_since[i].store(0, Ordering::SeqCst);
-                        let cause = match result {
-                            Ok(Ok(t)) => break Ok(t),
-                            Ok(Err(e)) => JobCause::Err(e),
-                            Err(payload) => JobCause::Panic(panic_message(payload)),
-                        };
-                        // A drain in progress turns remaining retries into a final
-                        // verdict: report the real failure now rather than sleeping
-                        // through the shutdown window.
-                        if attempt >= sup.max_attempts || externally_cancelled() {
-                            break Err(cause);
-                        }
-                        attempt += 1;
-                        std::thread::sleep(sup.backoff.delay(i, attempt));
-                    };
-                    let _ = tx.send(DoneMsg {
-                        index: i,
-                        attempts: attempt,
-                        outcome,
-                    });
+    let spawn_worker = || -> std::thread::JoinHandle<()> {
+        let shared = Arc::clone(&shared);
+        let tx = tx.clone();
+        let f = Arc::clone(&f);
+        let sup = sup.clone();
+        std::thread::spawn(move || {
+            IN_WORKER.with(|w| w.set(true));
+            loop {
+                let index = shared.next.fetch_add(1, Ordering::Relaxed);
+                if index >= n {
+                    break;
                 }
-            })
-        };
+                let (attempts, outcome) = run_job(&sup, index, &*f, Some(&shared));
+                let _ = tx.send(DoneMsg {
+                    index,
+                    attempts,
+                    outcome,
+                });
+            }
+        })
+    };
 
-    let mut handles = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        handles.push(spawn_worker(&shared, &tx));
-    }
-
+    let mut handles: Vec<_> = (0..workers).map(|_| spawn_worker()).collect();
     let mut out: Vec<Option<Result<T, JobError<E>>>> = (0..n).map(|_| None).collect();
     let mut abandoned = vec![false; n];
     let mut completed = 0usize;
@@ -466,28 +426,22 @@ where
             Some(d) => d.min(Duration::from_millis(25)),
             None => Duration::from_secs(3600),
         };
-        let msg = rx.recv_timeout(wait);
         if let Ok(DoneMsg {
             index,
             attempts,
             outcome,
-        }) = msg
+        }) = rx.recv_timeout(wait)
         {
-            if out[index].is_none() {
-                out[index] = Some(outcome.map_err(|cause| JobError {
-                    index,
-                    label: labels[index].clone(),
-                    attempts,
-                    cause,
-                }));
-                completed += 1;
-            }
             // A late result from an abandoned (timed-out) job is discarded:
             // first outcome wins, so resumed/retried sweeps stay stable.
+            if out[index].is_none() {
+                out[index] = Some(outcome.map_err(|cause| job_error(index, attempts, cause)));
+                completed += 1;
+            }
             continue;
         }
         if let Some(deadline) = sup.deadline {
-            let now = epoch.elapsed().as_micros() as u64 + 1;
+            let now = shared.epoch.elapsed().as_micros() as u64 + 1;
             let overdue = deadline.as_micros() as u64;
             for i in 0..n {
                 if out[i].is_some() || abandoned[i] {
@@ -496,16 +450,12 @@ where
                 let started = shared.running_since[i].load(Ordering::SeqCst);
                 if started != 0 && now.saturating_sub(started) > overdue {
                     abandoned[i] = true;
-                    out[i] = Some(Err(JobError {
-                        index: i,
-                        label: labels[i].clone(),
-                        attempts: shared.attempt_of[i].load(Ordering::SeqCst),
-                        cause: JobCause::Timeout { deadline },
-                    }));
+                    let attempts = shared.attempt_of[i].load(Ordering::SeqCst);
+                    out[i] = Some(Err(job_error(i, attempts, JobCause::Timeout { deadline })));
                     completed += 1;
                     // The stuck worker's thread is occupied indefinitely;
                     // restore pool capacity so the rest of the batch runs.
-                    handles.push(spawn_worker(&shared, &tx));
+                    handles.push(spawn_worker());
                 }
             }
         }
@@ -546,54 +496,111 @@ where
 mod tests {
     use super::*;
 
+    fn labels(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("job{i}")).collect()
+    }
+
+    /// Runs `n` infallible jobs on `workers` and unwraps the outcomes.
+    fn run_ok<T: Send + 'static>(
+        workers: usize,
+        n: usize,
+        f: impl Fn(usize) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
+        let sup = Supervisor {
+            workers,
+            ..Supervisor::default()
+        };
+        run_supervised::<_, (), _>(&sup, &labels(n), move |i, _| Ok(f(i)))
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect()
+    }
+
     #[test]
     fn results_are_ordered_by_job_index() {
         // Jobs finish intentionally out of order (larger index = shorter
         // work), yet results come back in index order.
-        let out = run_with_jobs(4, 32, |i| {
-            std::thread::sleep(std::time::Duration::from_micros(((32 - i) * 50) as u64));
-            i * 3
-        });
-        assert_eq!(out, (0..32).map(|i| i * 3).collect::<Vec<_>>());
+        for workers in [1, 4] {
+            let out = run_ok(workers, 32, |i| {
+                std::thread::sleep(Duration::from_micros(((32 - i) * 50) as u64));
+                i * 3
+            });
+            assert_eq!(out, (0..32).map(|i| i * 3).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn workers_know_they_are_workers() {
         assert!(!in_worker());
-        assert_eq!(run_with_jobs(2, 4, |_| in_worker()), vec![true; 4]);
+        assert_eq!(run_ok(2, 3, |_| in_worker()), vec![true; 3]);
+        assert!(!in_worker());
+    }
+
+    #[test]
+    fn one_worker_without_deadline_runs_inline() {
+        let caller = std::thread::current().id();
+        let on_caller = move |_| std::thread::current().id() == caller && !in_worker();
+        assert_eq!(run_ok(1, 4, on_caller), vec![true; 4]);
+        // More workers than jobs clamp to one: still inline.
+        assert_eq!(run_ok(8, 1, on_caller), vec![true]);
+
+        // Retries and panic isolation behave as they do on a worker.
+        let tries = Arc::new(AtomicUsize::new(0));
+        let t = Arc::clone(&tries);
         let sup = Supervisor {
-            workers: 2,
+            workers: 1,
+            max_attempts: 2,
+            backoff: Backoff {
+                base: Duration::from_millis(1),
+                ..Backoff::default()
+            },
             ..Supervisor::default()
         };
-        let labels: Vec<String> = (0..3).map(|i| i.to_string()).collect();
-        let out = run_supervised(&sup, &labels, |_, _| Ok::<bool, ()>(in_worker()));
-        assert!(out.into_iter().all(|r| r == Ok(true)));
+        let out = run_supervised::<_, String, _>(&sup, &labels(3), move |i, attempt| {
+            t.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(std::thread::current().id(), caller);
+            match (i, attempt) {
+                (0, 1) => Err("transient".into()),
+                (1, _) => panic!("always {i}"),
+                _ => Ok((i, attempt)),
+            }
+        });
+        assert_eq!(out[0], Ok((0, 2)));
+        let e = out[1].as_ref().unwrap_err();
+        assert_eq!((e.index, e.attempts), (1, 2));
+        assert_eq!(e.cause, JobCause::Panic("always 1".into()));
+        assert_eq!(out[2], Ok((2, 1)));
+        assert_eq!(tries.load(Ordering::SeqCst), 5);
         assert!(!in_worker());
+    }
+
+    #[test]
+    fn a_deadline_runs_jobs_on_a_worker_thread() {
+        let caller = std::thread::current().id();
+        let sup = Supervisor {
+            workers: 1,
+            deadline: Some(Duration::from_secs(30)),
+            ..Supervisor::default()
+        };
+        let out = run_supervised::<_, (), _>(&sup, &labels(2), move |_, _| {
+            Ok(std::thread::current().id() != caller && in_worker())
+        });
+        assert_eq!(out, vec![Ok(true), Ok(true)]);
     }
 
     #[test]
     fn serial_and_parallel_agree() {
         let f = |i: usize| i.wrapping_mul(0x9e37_79b9).rotate_left(7);
-        assert_eq!(run_with_jobs(1, 100, f), run_with_jobs(8, 100, f));
+        assert_eq!(run_ok(1, 100, f), run_ok(8, 100, f));
     }
 
     #[test]
-    fn zero_and_one_job_edge_cases() {
-        assert_eq!(run_with_jobs(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(run_with_jobs(4, 1, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn borrows_non_static_data() {
-        let data = [10u64, 20, 30];
-        let out = run_with_jobs(2, data.len(), |i| data[i] + 1);
-        assert_eq!(out, vec![11, 21, 31]);
-    }
-
-    #[test]
-    fn worker_count_is_clamped() {
+    fn one_job_and_more_workers_than_jobs() {
+        for workers in [1, 4] {
+            assert_eq!(run_ok(workers, 1, |i| i + 1), vec![1]);
+        }
         // More workers than jobs must not deadlock or drop results.
-        assert_eq!(run_with_jobs(64, 3, |i| i), vec![0, 1, 2]);
+        assert_eq!(run_ok(64, 3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -616,44 +623,6 @@ mod tests {
                 "warning must name the bad value and the fallback: {w}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn job_panics_propagate() {
-        run_with_jobs(2, 4, |i| {
-            if i == 2 {
-                panic!("boom");
-            }
-            i
-        });
-    }
-
-    #[test]
-    fn job_panic_payload_is_preserved_not_poisoned() {
-        // The propagated panic must be the job's original message, not a
-        // secondary "poisoned mutex" panic from another worker's cleanup.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_with_jobs(4, 64, |i| {
-                if i == 7 {
-                    panic!("original message {i}");
-                }
-                std::thread::sleep(Duration::from_micros(200));
-                i
-            })
-        }));
-        let payload = result.expect_err("sweep must panic");
-        let msg = panic_message(payload);
-        assert!(
-            msg.contains("original message 7"),
-            "first panic payload must survive: {msg}"
-        );
-    }
-
-    // -------------------------------------------------------- supervised
-
-    fn labels(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("job{i}")).collect()
     }
 
     #[test]
@@ -795,64 +764,6 @@ mod tests {
         assert!(
             elapsed < Duration::from_secs(20),
             "watchdog must abandon the hung job long before it returns: {elapsed:?}"
-        );
-    }
-
-    /// Live threads of this process, from `/proc/self/status`.
-    #[cfg(target_os = "linux")]
-    fn live_threads() -> usize {
-        std::fs::read_to_string("/proc/self/status")
-            .ok()
-            .and_then(|s| {
-                s.lines()
-                    .find(|l| l.starts_with("Threads:"))
-                    .and_then(|l| l.split_whitespace().nth(1))
-                    .and_then(|v| v.parse().ok())
-            })
-            .expect("/proc/self/status has a Threads: line")
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn supervised_abandonment_does_not_leak_worker_threads() {
-        let baseline = live_threads();
-        let deadline = Duration::from_millis(100);
-        let sup = Supervisor {
-            workers: 2,
-            deadline: Some(deadline),
-            ..Supervisor::default()
-        };
-        let out = run_supervised::<usize, (), _>(&sup, &labels(6), |i, _| {
-            if i == 1 {
-                // Hung job: outlives the sweep, finishes during the test.
-                std::thread::sleep(Duration::from_millis(1500));
-            }
-            Ok(i)
-        });
-        assert!(
-            matches!(out[1].as_ref().unwrap_err().cause, JobCause::Timeout { .. }),
-            "job 1 must be abandoned"
-        );
-        // At return, every joinable worker — the idle originals and the
-        // replacement spawned on abandonment — has been reaped. Only the
-        // genuinely stuck thread may still be alive.
-        let after = live_threads();
-        assert!(
-            after <= baseline + 1,
-            "joinable worker threads leaked past run_supervised: \
-             {baseline} threads before, {after} after"
-        );
-        // Once the stuck job's sleep elapses its thread exits too: nothing
-        // from the sweep survives for the process lifetime.
-        let t0 = Instant::now();
-        let mut settled = live_threads();
-        while settled > baseline && t0.elapsed() < Duration::from_secs(10) {
-            std::thread::sleep(Duration::from_millis(25));
-            settled = live_threads();
-        }
-        assert!(
-            settled <= baseline,
-            "stuck worker never exited: {baseline} threads before, {settled} after"
         );
     }
 

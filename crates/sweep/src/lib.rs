@@ -57,6 +57,13 @@ pub use subwarp_core::{fnv1a, stats_to_units, units_to_stats};
 /// exactly what the serial one (`SUBWARP_JOBS=1`) returns.
 #[derive(Default)]
 pub struct Sweep {
+    /// Shared with the jobs of a run, so a cell reads its row and column
+    /// in place instead of carrying a copy of its config.
+    grid: Arc<Grid>,
+}
+
+#[derive(Default, Clone)]
+struct Grid {
     workloads: Vec<(String, Arc<Workload>)>,
     configs: Vec<(String, SmConfig, SiConfig)>,
 }
@@ -72,36 +79,40 @@ impl Sweep {
     pub fn over_suite() -> Sweep {
         let mut s = Sweep::new();
         for (t, wl) in built_suite() {
-            s.workloads.push((t.name.to_owned(), Arc::clone(wl)));
+            s = s.workload(t.name, Arc::clone(wl));
         }
         s
     }
 
     /// Adds a (prebuilt, shared) workload row.
     pub fn workload(mut self, name: impl Into<String>, wl: Arc<Workload>) -> Sweep {
-        self.workloads.push((name.into(), wl));
+        Arc::make_mut(&mut self.grid)
+            .workloads
+            .push((name.into(), wl));
         self
     }
 
     /// Adds a simulator-configuration column.
     pub fn config(mut self, label: impl Into<String>, sm: SmConfig, si: SiConfig) -> Sweep {
-        self.configs.push((label.into(), sm, si));
+        Arc::make_mut(&mut self.grid)
+            .configs
+            .push((label.into(), sm, si));
         self
     }
 
     /// Workload names in grid row order.
     pub fn workload_names(&self) -> impl Iterator<Item = &str> {
-        self.workloads.iter().map(|(n, _)| n.as_str())
+        self.grid.workloads.iter().map(|(n, _)| n.as_str())
     }
 
     /// Configuration labels in grid column order.
     pub fn config_labels(&self) -> impl Iterator<Item = &str> {
-        self.configs.iter().map(|(l, _, _)| l.as_str())
+        self.grid.configs.iter().map(|(l, _, _)| l.as_str())
     }
 
     /// Number of cells (`workloads × configs`) the sweep will run.
     pub fn len(&self) -> usize {
-        self.workloads.len() * self.configs.len()
+        self.grid.workloads.len() * self.grid.configs.len()
     }
 
     /// True when the grid has no cells.
@@ -118,36 +129,25 @@ impl Sweep {
     }
 
     /// Runs the grid on exactly `workers` threads (the serial/parallel
-    /// determinism A/B hook).
+    /// determinism A/B hook): [`run_resilient`] under the process-global
+    /// [`SweepPolicy`] when one is installed (the `figures` binary installs
+    /// one for its `--resume`/`--journal`/`--deadline`/`--attempts` flags),
+    /// otherwise under the default policy, with `workers` set. The first
+    /// hole in grid order becomes the sweep's `SimError`, so a panicking
+    /// cell is a [`SimError::Panicked`] naming its label.
     ///
-    /// When a process-global [`SweepPolicy`] has been installed (the
-    /// `figures` binary does this for `--resume`/`--journal`/`--deadline`/
-    /// `--attempts`), the grid runs under supervision instead; a
-    /// strict-mode caller still sees the first hole as a `SimError`.
-    /// Without an installed policy the grid runs unsupervised through
-    /// [`subwarp_pool::run_with_jobs`]. That path stays because supervision
-    /// runs each cell on a spawned worker thread, which costs memory:
-    /// routing every grid through [`run_resilient`] raised the benchmark's
-    /// paper-grid peak RSS from 5.85 to 6.21 MB (median of 3 runs each on a
-    /// 2-vCPU VM).
+    /// One worker runs every cell on the calling thread. A cell reads its
+    /// row and column from the shared grid and restores from the journal
+    /// inside its job, so supervision copies no config per cell: the
+    /// benchmark's paper-grid, whose warm-up is one `run_with_jobs(1)`,
+    /// peaks at 5.91 MB RSS against 5.86 MB through the unsupervised pool
+    /// this replaced (medians of 20 alternating pairs on a 2-vCPU VM).
     pub fn run_with_jobs(&self, workers: usize) -> Result<Vec<Vec<RunStats>>, SimError> {
-        if let Some(policy) = global_policy() {
-            let mut policy = policy.clone();
-            policy.workers = Some(workers);
-            return run_resilient(self, &policy).into_result();
-        }
-        let nc = self.configs.len();
-        let cells = subwarp_pool::run_with_jobs(workers, self.len(), |i| {
-            let (_, wl) = &self.workloads[i / nc];
-            let (_, sm, si) = &self.configs[i % nc];
-            Simulator::new(sm.clone(), *si).run(wl)
-        });
-        let mut it = cells.into_iter();
-        let mut grid = Vec::with_capacity(self.workloads.len());
-        for _ in 0..self.workloads.len() {
-            grid.push((&mut it).take(nc).collect::<Result<Vec<_>, _>>()?);
-        }
-        Ok(grid)
+        let policy = SweepPolicy {
+            workers: Some(workers),
+            ..global_policy().cloned().unwrap_or_default()
+        };
+        run_resilient(self, &policy).into_result()
     }
 }
 
@@ -250,16 +250,15 @@ impl PartialGrid {
     /// Collapses into the strict all-or-nothing grid `Sweep::run` returns:
     /// the first hole in grid order becomes the sweep's `SimError`.
     pub fn into_result(self) -> Result<Vec<Vec<RunStats>>, SimError> {
-        let n_configs = self.n_configs;
-        let mut flat = Vec::with_capacity(self.cells.len());
-        for cell in self.cells {
-            flat.push(cell.map_err(job_error_to_sim)?);
+        let mut rows: Vec<Vec<RunStats>> = Vec::new();
+        for (i, cell) in self.cells.into_iter().enumerate() {
+            if i % self.n_configs == 0 {
+                rows.push(Vec::with_capacity(self.n_configs));
+            }
+            let row = rows.last_mut().expect("a row was started");
+            row.push(cell.map_err(job_error_to_sim)?);
         }
-        Ok(if n_configs == 0 {
-            Vec::new()
-        } else {
-            flat.chunks(n_configs).map(<[RunStats]>::to_vec).collect()
-        })
+        Ok(rows)
     }
 }
 
@@ -282,90 +281,61 @@ pub fn job_error_to_sim(e: JobError<SimError>) -> SimError {
 
 // ------------------------------------------------------------ run_resilient
 
-struct JobSpec {
-    label: String,
-    fp: u64,
-    wl: Arc<Workload>,
-    sm: SmConfig,
-    si: SiConfig,
-}
-
 /// Runs a sweep grid under supervision, returning a [`PartialGrid`] with
 /// one labeled outcome per cell.
 ///
-/// Cells whose fingerprint is already in the policy's [`Journal`] are
-/// restored without re-simulating; freshly completed cells are journaled
-/// as they finish. Cell labels are `"<workload>/<config>"`. Determinism:
-/// for a fault-free (or deterministically-faulted) sweep, the `Ok`/`Err`
-/// pattern and every `Ok` payload are identical for serial and parallel
-/// runs, and for interrupted-then-resumed versus uninterrupted runs.
+/// Each cell's job restores the cell from the policy's [`Journal`] when
+/// its fingerprint is there; otherwise it applies the policy's
+/// [`FaultPlan`], simulates, and journals the result as it finishes. Cell
+/// labels are `"<workload>/<config>"`. Determinism: for a fault-free (or
+/// deterministically-faulted) sweep, the `Ok`/`Err` pattern and every `Ok`
+/// payload are identical for serial and parallel runs, and for
+/// interrupted-then-resumed versus uninterrupted runs.
 // `JobError<SimError>` is only materialized once per *failed* cell; boxing
 // it would push the indirection into every PartialGrid accessor for no
 // hot-path benefit.
 #[allow(clippy::result_large_err)]
 pub fn run_resilient(sweep: &Sweep, policy: &SweepPolicy) -> PartialGrid {
-    let n_configs = sweep.configs.len();
-    let specs: Vec<JobSpec> = sweep
-        .workloads
-        .iter()
-        .flat_map(|(wname, wl)| {
-            let whash = workload_hash(wl);
-            sweep.configs.iter().map(move |(cname, sm, si)| {
-                let label = format!("{wname}/{cname}");
-                let fp = cell_fingerprint(&label, whash, sm, si);
-                JobSpec {
-                    label,
-                    fp,
-                    wl: Arc::clone(wl),
-                    sm: sm.clone(),
-                    si: *si,
-                }
-            })
-        })
-        .collect();
-
-    let mut cells: Vec<Option<Result<RunStats, JobError<SimError>>>> =
-        (0..specs.len()).map(|_| None).collect();
-    if let Some(journal) = &policy.journal {
-        for (i, spec) in specs.iter().enumerate() {
-            if let Some(stats) = journal.lookup(spec.fp) {
-                cells[i] = Some(Ok(stats));
-            }
+    let grid = Arc::clone(&sweep.grid);
+    let n_configs = grid.configs.len();
+    let mut labels = Vec::with_capacity(sweep.len());
+    for (wname, _) in &grid.workloads {
+        for (cname, _, _) in &grid.configs {
+            labels.push(format!("{wname}/{cname}"));
         }
     }
-    let pending: Vec<usize> = (0..specs.len()).filter(|&i| cells[i].is_none()).collect();
-    if !pending.is_empty() {
-        let labels: Vec<String> = pending.iter().map(|&i| specs[i].label.clone()).collect();
-        let specs = Arc::new(specs);
-        let run_specs = Arc::clone(&specs);
-        let pending_for_job = pending.clone();
-        let faults = policy.faults.clone();
-        let journal = policy.journal.clone();
-        let outcomes =
-            subwarp_pool::run_supervised(&policy.supervisor(), &labels, move |k, attempt| {
-                let spec = &run_specs[pending_for_job[k]];
-                if let Some(plan) = &faults {
-                    plan.sabotage(&spec.label, attempt)?;
-                }
-                let stats = Simulator::new(spec.sm.clone(), spec.si).run(&spec.wl)?;
-                if let Some(j) = &journal {
-                    j.record(spec.fp, &spec.label, &stats);
-                }
-                Ok(stats)
-            });
-        for (k, outcome) in outcomes.into_iter().enumerate() {
-            // Re-anchor the supervised batch's job index to the grid index.
-            let i = pending[k];
-            cells[i] = Some(outcome.map_err(|e| JobError { index: i, ..e }));
+    let labels = Arc::new(labels);
+    // The journal, with each row's workload hash for the cell keys.
+    let journal = policy.journal.clone().map(|j| {
+        let rows: Vec<u64> = grid
+            .workloads
+            .iter()
+            .map(|(_, wl)| workload_hash(wl))
+            .collect();
+        (j, rows)
+    });
+    let faults = policy.faults.clone();
+    let job_labels = Arc::clone(&labels);
+    let cells = subwarp_pool::run_supervised(&policy.supervisor(), &labels, move |i, attempt| {
+        let (_, wl) = &grid.workloads[i / n_configs];
+        let (_, sm, si) = &grid.configs[i % n_configs];
+        let label = &job_labels[i];
+        let key = journal
+            .as_ref()
+            .map(|(j, rows)| (j, cell_fingerprint(label, rows[i / n_configs], sm, si)));
+        if let Some(stats) = key.and_then(|(j, fp)| j.lookup(fp)) {
+            return Ok(stats);
         }
-    }
-    let grid = PartialGrid {
-        n_configs,
-        cells: cells
-            .into_iter()
-            .map(|c| c.expect("every cell resolved"))
-            .collect(),
-    };
+        if let Some(plan) = &faults {
+            plan.sabotage(label, attempt)?;
+        }
+        let stats = Simulator::new(sm.clone(), *si).run(wl)?;
+        if let Some((j, fp)) = key {
+            j.record(fp, label, &stats);
+        }
+        Ok(stats)
+    });
+    let grid = PartialGrid { n_configs, cells };
     HOLES.fetch_add(grid.holes().len(), Ordering::Relaxed);
     grid
 }

@@ -68,6 +68,32 @@ fn sweep_parallel_matches_serial() {
 }
 
 #[test]
+fn policy_less_grid_fails_with_the_first_error_in_grid_order() {
+    let sm = SmConfig::turing_like();
+    let no_pbs = SmConfig {
+        n_pbs: 0,
+        ..sm.clone()
+    };
+    let no_slots = SmConfig {
+        warp_slots_per_pb: 0,
+        ..sm.clone()
+    };
+    let sweep = tiny_sweep()
+        .config("no-pbs", no_pbs, SiConfig::disabled())
+        .config("no-slots", no_slots, SiConfig::disabled());
+    let first = SimError::InvalidConfig {
+        what: "n_pbs must be at least 1".into(),
+    };
+    for workers in [1, 4] {
+        assert_eq!(
+            sweep.run_with_jobs(workers),
+            Err(first.clone()),
+            "{workers} workers"
+        );
+    }
+}
+
+#[test]
 fn journal_roundtrip_restores_stats_exactly() {
     let path = temp_journal("roundtrip");
     cleanup(&path);
@@ -227,6 +253,10 @@ fn resumed_sweep_equals_uninterrupted_sweep() {
     .unwrap();
 
     assert_eq!(resumed, reference);
+    // Restored cells are not journaled again: only the second row's two
+    // cells were appended by the resume leg.
+    let lines = std::fs::read_to_string(&path).unwrap().lines().count();
+    assert_eq!(lines, 4, "the resume re-recorded restored cells");
     cleanup(&path);
 }
 

@@ -9,7 +9,8 @@
 //! nondeterministic decode) would still be caught.
 
 use std::sync::Arc;
-use subwarp_core::{MemoryImage, RunStats, SimError, Simulator, Workload};
+use subwarp_core::{SimError, Simulator, Workload};
+use subwarp_pool::{run_supervised, Supervisor};
 use subwarp_trace::{decode_workload, digest_configs, encode_workload, trace_fingerprint};
 use subwarp_workloads::{built_suite, figure9_workload, microbenchmark};
 
@@ -28,17 +29,25 @@ fn roundtrip(wl: &Workload) -> (Vec<u8>, Workload) {
 
 /// Runs direct and replayed workloads under every digest config with the
 /// given worker count, asserting bit-identical stats and memory images.
-fn assert_replay_parity(direct: &Workload, replayed: &Workload, workers: usize) {
-    type RunPair = ((RunStats, MemoryImage), (RunStats, MemoryImage));
-    let configs = digest_configs();
-    let pairs: Vec<Result<RunPair, SimError>> =
-        subwarp_pool::run_with_jobs(workers, configs.len(), |i| {
-            let (_, sm, si) = &configs[i];
-            let a = Simulator::new(sm.clone(), *si).run_with_memory(direct)?;
-            let b = Simulator::new(sm.clone(), *si).run_with_memory(replayed)?;
-            Ok((a, b))
-        });
-    for ((label, _, _), pair) in configs.iter().zip(pairs) {
+fn assert_replay_parity(direct: &Arc<Workload>, replayed: &Arc<Workload>, workers: usize) {
+    let configs = Arc::new(digest_configs());
+    let labels: Vec<String> = configs.iter().map(|(l, _, _)| l.to_string()).collect();
+    let sup = Supervisor {
+        workers,
+        ..Supervisor::default()
+    };
+    let (jobs, a, b) = (
+        Arc::clone(&configs),
+        Arc::clone(direct),
+        Arc::clone(replayed),
+    );
+    let pairs = run_supervised(&sup, &labels, move |i, _| {
+        let (_, sm, si) = &jobs[i];
+        let a = Simulator::new(sm.clone(), *si).run_with_memory(&a)?;
+        let b = Simulator::new(sm.clone(), *si).run_with_memory(&b)?;
+        Ok::<_, SimError>((a, b))
+    });
+    for (label, pair) in labels.iter().zip(pairs) {
         let ((sa, ia), (sb, ib)) = pair.unwrap_or_else(|e| {
             panic!("`{}` under {label} failed: {e}", direct.name);
         });
@@ -55,6 +64,7 @@ fn toy_and_micro_roundtrip_and_replay_identically() {
         microbenchmark(4, 2),
     ] {
         let (_, decoded) = roundtrip(&wl);
+        let (wl, decoded) = (Arc::new(wl), Arc::new(decoded));
         assert_replay_parity(&wl, &decoded, 1);
         assert_replay_parity(&wl, &decoded, 4);
     }
@@ -78,12 +88,12 @@ fn suite_replays_bit_identically_serial_and_parallel() {
     // Replay parity over the whole Table II suite: the (workload, config)
     // cells fan out on the pool; each cell runs direct + replayed.
     let suite = built_suite();
-    let replayed: Vec<(String, Arc<Workload>, Workload)> = suite
+    let replayed: Vec<(String, Arc<Workload>, Arc<Workload>)> = suite
         .iter()
         .map(|(spec, wl)| {
             let bytes = encode_workload(wl);
             let decoded = decode_workload(&bytes).expect("decode");
-            (spec.name.to_owned(), Arc::clone(wl), decoded)
+            (spec.name.to_owned(), Arc::clone(wl), Arc::new(decoded))
         })
         .collect();
     for workers in [1, subwarp_pool::default_jobs()] {
