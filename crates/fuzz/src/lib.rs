@@ -544,15 +544,12 @@ pub struct SeedOutcome {
 }
 
 /// Decodes one line written by [`FuzzJournal::record`]; `None` for a line
-/// of any other shape. A line without an `oracle` key is a baseline line.
+/// of any other shape, including one that names no known oracle.
 fn outcome_from_json(v: &Value) -> Option<SeedOutcome> {
     let seed = v.u64_field("seed")?;
-    let oracle = match v.get("oracle") {
-        None => Oracle::Baseline,
-        Some(o) => [Oracle::Baseline, Oracle::TraceParity]
-            .into_iter()
-            .find(|k| Some(k.name()) == o.as_str())?,
-    };
+    let oracle = [Oracle::Baseline, Oracle::TraceParity]
+        .into_iter()
+        .find(|k| Some(k.name()) == v.str_field("oracle"))?;
     let failure = match v.str_field("kind")? {
         "ok" => None,
         "fail" => Some(Divergence {
@@ -585,9 +582,9 @@ fn outcome_from_json(v: &Value) -> Option<SeedOutcome> {
 /// {"kind":"fail","oracle":"trace-parity","seed":8,"runs":4,"instructions":90,"config":"dws","what":"..."}
 /// ```
 ///
-/// A line without an `oracle` key is a baseline line. Seeds that panicked
-/// or timed out under supervision are *not* journaled: a resumed campaign
-/// retries them.
+/// A line that names no known oracle is skipped, so its seed is checked
+/// again. Seeds that panicked or timed out under supervision are *not*
+/// journaled: a resumed campaign retries them.
 #[derive(Debug)]
 pub struct FuzzJournal {
     restored: usize,
@@ -892,27 +889,30 @@ mod tests {
     }
 
     #[test]
-    fn untagged_lines_are_baseline_lines() {
+    fn lines_without_a_known_oracle_are_skipped() {
         use std::io::Write;
         let path = temp_journal_path("untagged");
         std::fs::File::create(&path)
             .unwrap()
             .write_all(
                 b"{\"kind\":\"ok\",\"seed\":3,\"runs\":29,\"instructions\":70}\n\
-                  {\"kind\":\"ok\",\"oracle\":\"nonesuch\",\"seed\":4,\"runs\":1,\"instructions\":1}\n",
+                  {\"kind\":\"ok\",\"oracle\":\"nonesuch\",\"seed\":4,\"runs\":1,\"instructions\":1}\n\
+                  {\"kind\":\"ok\",\"oracle\":\"baseline\",\"seed\":5,\"runs\":31,\"instructions\":80}\n",
             )
             .unwrap();
         let j = FuzzJournal::open(&path).unwrap();
-        // The line naming an unknown oracle is skipped.
+        // The untagged line and the one naming an unknown oracle are
+        // skipped; their seeds are checked again by either oracle.
         assert_eq!(j.restored(), 1);
-        let o = j
-            .lookup(Oracle::Baseline, 3)
-            .expect("untagged line restores");
+        for oracle in [Oracle::Baseline, Oracle::TraceParity] {
+            assert!(j.lookup(oracle, 3).is_none());
+            assert!(j.lookup(oracle, 4).is_none());
+        }
+        let o = j.lookup(Oracle::Baseline, 5).expect("tagged line restores");
         assert_eq!(
             (o.oracle, o.runs, o.instructions),
-            (Oracle::Baseline, 29, 70)
+            (Oracle::Baseline, 31, 80)
         );
-        assert!(j.lookup(Oracle::TraceParity, 3).is_none());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -955,10 +955,10 @@ mod tests {
         // Crash tails: truncated inside a key, torn right after the seed,
         // and a complete record that lost only its newline.
         let tails: [(&[u8], Option<u64>); 3] = [
-            (b"{\"kind\":\"ok\",\"se", None),
-            (b"{\"kind\":\"ok\",\"seed\":3,", None),
+            (b"{\"kind\":\"ok\",\"oracle\":\"baseline\",\"se", None),
+            (b"{\"kind\":\"ok\",\"oracle\":\"baseline\",\"seed\":3,", None),
             (
-                b"{\"kind\":\"ok\",\"seed\":3,\"runs\":7,\"instructions\":70}",
+                b"{\"kind\":\"ok\",\"oracle\":\"baseline\",\"seed\":3,\"runs\":7,\"instructions\":70}",
                 Some(7),
             ),
         ];

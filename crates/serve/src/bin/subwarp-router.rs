@@ -2,10 +2,7 @@
 //!
 //! ```text
 //! subwarp-router --shard ADDR [--shard ADDR]... [--listen ADDR]
-//!                [--replicas N] [--connect-timeout-ms N]
-//!                [--ping-timeout-ms N] [--run-timeout-ms N] [--retries N]
-//!                [--health-interval-ms N] [--max-line BYTES]
-//!                [--io-timeout-ms N]
+//!                [--replicas N] [--max-line BYTES] [--io-timeout-ms N]
 //! ```
 //!
 //! Speaks the same NDJSON protocol as `subwarp-serve` and forwards each
@@ -15,7 +12,10 @@
 //! fails over to its successors; when every owner of a range is down the
 //! request is shed with `retry_after_ms` — the client always gets an
 //! answer in bounded time. A background prober health-checks every shard
-//! with a hard deadline. `ping` and `stats` are answered locally.
+//! with a hard deadline. `ping` and `stats` are answered locally. Dial,
+//! ping and forward deadlines, retries and the probe interval are
+//! [`RouterConfig`]'s defaults, which the cluster tests set and no flag
+//! does.
 
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -47,20 +47,12 @@ fn parse_args() -> Result<Args, String> {
             .cloned()
             .ok_or_else(|| format!("{flag} needs a value"))
     };
-    let ms = |s: String, flag: &str| -> Result<Duration, String> {
-        Ok(Duration::from_millis(parse(&s, flag)?))
-    };
     while i < argv.len() {
         let flag = argv[i].as_str();
         match flag {
             "--listen" => listen = next(&mut i, flag)?,
             "--shard" => cfg.shards.push(next(&mut i, flag)?),
             "--replicas" => cfg.replicas = parse(&next(&mut i, flag)?, flag)?,
-            "--connect-timeout-ms" => cfg.connect_timeout = ms(next(&mut i, flag)?, flag)?,
-            "--ping-timeout-ms" => cfg.ping_timeout = ms(next(&mut i, flag)?, flag)?,
-            "--run-timeout-ms" => cfg.run_timeout = ms(next(&mut i, flag)?, flag)?,
-            "--retries" => cfg.attempts = parse(&next(&mut i, flag)?, flag)?,
-            "--health-interval-ms" => cfg.health_interval = ms(next(&mut i, flag)?, flag)?,
             "--max-line" => max_line = parse(&next(&mut i, flag)?, flag)?,
             "--io-timeout-ms" => io_timeout_ms = parse(&next(&mut i, flag)?, flag)?,
             "--help" | "-h" => {
@@ -91,11 +83,6 @@ const HELP: &str = "subwarp-router: fingerprint-sharded front door for subwarp-s
   --shard ADDR            shard daemon address, repeatable (required)
   --listen ADDR           bind address (default 127.0.0.1:7070)
   --replicas N            failover owners after the primary (default 1)
-  --connect-timeout-ms N  shard dial deadline (default 1000)
-  --ping-timeout-ms N     health-ping read deadline (default 1000)
-  --run-timeout-ms N      forwarded-run read deadline (default 120000)
-  --retries N             dial attempts per live owner (default 3)
-  --health-interval-ms N  pause between prober sweeps (default 500)
   --max-line BYTES        max client request line (default 65536)
   --io-timeout-ms N       client connection deadline, 0 = none
                           (default 120000)

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use subwarp_pool::Backoff;
-use subwarp_sweep::json::parse;
+use subwarp_sweep::json::{json_escape, parse};
 
 use crate::client::Client;
 use crate::spec::JobSpec;
@@ -316,7 +316,11 @@ impl Router {
                 let h = self.health(i);
                 format!(
                     "{{\"addr\":\"{}\",\"up\":{},\"rtt_us\":{},\"probes\":{},\"failures\":{}}}",
-                    self.cfg.shards[i], h.up, h.last_rtt_us, h.probes, h.failures
+                    json_escape(&self.cfg.shards[i]),
+                    h.up,
+                    h.last_rtt_us,
+                    h.probes,
+                    h.failures
                 )
             })
             .collect::<Vec<_>>()
@@ -448,6 +452,15 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!(c > 150, "shard {i} owns only {c}/1000 primaries");
         }
+    }
+
+    #[test]
+    fn stats_line_escapes_shard_addresses() {
+        let addr = r#"host"quoted\path:1"#;
+        let r = router_over(&[addr], 0);
+        let stats = parse(&r.stats_json()).expect("the stats line is JSON");
+        let shards = stats.get("shards").and_then(|s| s.as_arr()).unwrap();
+        assert_eq!(shards[0].str_field("addr"), Some(addr));
     }
 
     #[test]

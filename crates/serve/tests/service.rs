@@ -15,10 +15,10 @@ use std::time::{Duration, Instant};
 use subwarp_core::{FaultKind, FaultPlan, RunStats};
 use subwarp_serve::listen::{accept_loop, Conns};
 use subwarp_serve::server::JobReply;
-use subwarp_serve::wire::{tcp_handler, WireLimits};
+use subwarp_serve::wire::{ok_line, tcp_handler, WireLimits};
 use subwarp_serve::{Client, JobSpec, Phase, Server, ServerConfig, Submitted};
 use subwarp_sweep::json::parse;
-use subwarp_sweep::Journal;
+use subwarp_sweep::{CompactPolicy, Journal};
 
 /// A small config sized for single-core CI: tiny batches, generous
 /// deadline, no retries unless a test opts in.
@@ -183,6 +183,68 @@ fn concurrent_duplicates_coalesce_into_one_simulation() {
         _ => panic!("a completed fingerprint must be served from the store"),
     }
     assert_eq!(store_counters(&server), [1, 1, 5]);
+    server.drain();
+    server.join();
+}
+
+#[test]
+fn a_bounded_in_memory_store_evicts_and_re_simulates_byte_identically() {
+    let specs: Vec<JobSpec> = (0..24)
+        .map(|k| {
+            spec(&format!(
+                r#"{{"workload":"micro:16@1","si":"both","latency":{}}}"#,
+                300 + 10 * k
+            ))
+        })
+        .collect();
+    // Bound the store at six lines' worth, measured on the first result.
+    let first = &specs[0];
+    let stats = subwarp_core::Simulator::new(first.sm.clone(), first.si)
+        .run(&first.wl)
+        .unwrap();
+    let probe = Journal::in_memory();
+    probe.record(first.fp, &first.label, &stats);
+    let line = probe
+        .compact(&CompactPolicy::keep_all())
+        .unwrap()
+        .before_bytes;
+    let store = Journal::in_memory().with_max_bytes(6 * line);
+    let server = Server::start(test_config(), store);
+
+    let run = |s: &JobSpec| match server.submit("t", s.clone()) {
+        Submitted::Queued(rx) => {
+            let (stats, cached) = recv_ok(&rx);
+            ok_line(s.fp, &s.label, cached, &stats)
+        }
+        _ => panic!("{} must be simulated", s.label),
+    };
+    let replies: Vec<String> = specs
+        .iter()
+        .map(|s| {
+            let reply = run(s);
+            assert!(
+                server.store().len() <= 6,
+                "store holds {}",
+                server.store().len()
+            );
+            reply
+        })
+        .collect();
+    let stats = parse(&server.stats_json()).unwrap();
+    assert!(stats.u64_field("compactions").unwrap() >= 3, "{stats:?}");
+    assert_eq!(stats.u64_field("store_bytes"), Some(0));
+
+    // The oldest spec was evicted: submitting it again simulates it again,
+    // to the same reply bytes.
+    let simulated = || {
+        server
+            .counters()
+            .simulated
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    assert_eq!(simulated(), 24);
+    assert_eq!(run(first), replies[0]);
+    assert_eq!(simulated(), 25);
     server.drain();
     server.join();
 }

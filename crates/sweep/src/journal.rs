@@ -164,14 +164,19 @@ fn acquire_lock(journal_path: &Path) -> std::io::Result<LockGuard> {
 /// naming the holder instead of silently interleaving appends. A lock left
 /// behind by a `kill -9` is detected as stale (its PID is gone) and stolen.
 ///
-/// [`Journal::in_memory`] keeps the same map and recency clock with no
+/// [`Journal::in_memory`] keeps the same entries and recency clock with no
 /// file and no lock: the `subwarp-serve` daemon's store when it runs
-/// without `--store`.
+/// without `--store`. Either backing can be bounded
+/// ([`with_max_bytes`](Journal::with_max_bytes)): `record` then evicts
+/// least-recently-used entries itself, through a compaction pass on disk
+/// and by dropping them in memory.
 #[derive(Debug)]
 pub struct Journal {
     restored: usize,
     state: Mutex<JournalState>,
     compactions: AtomicU64,
+    /// Live bytes past which `record` evicts; `None` keeps every entry.
+    max_bytes: Option<u64>,
     /// The backing file; `None` for an in-memory journal.
     disk: Option<Disk>,
 }
@@ -186,46 +191,90 @@ struct Disk {
     _lock: LockGuard,
 }
 
+/// One journaled result.
+#[derive(Debug)]
+struct Entry {
+    stats: RunStats,
+    label: String,
+    /// Length of its journal line, newline included.
+    bytes: u64,
+    /// Recency clock value at its last lookup or record (higher = more
+    /// recent): the LRU eviction order.
+    touch: u64,
+}
+
 /// In-memory journal state, guarded by one mutex so a compaction snapshot
 /// is always a superset of every record whose disk append has completed
 /// ([`Journal::record`] inserts here *before* appending).
 #[derive(Debug, Default)]
 struct JournalState {
-    /// Decoded results per fingerprint (last write wins).
-    completed: HashMap<u64, RunStats>,
-    /// The exact journal line (no trailing newline) per fingerprint, so a
-    /// compacted journal is literally the surviving original lines —
-    /// byte-identical re-serves survive any number of compactions.
-    lines: HashMap<u64, String>,
-    /// Recency clock value per fingerprint (higher = more recent). Bumped
-    /// by [`Journal::lookup`] and [`Journal::record`]; the LRU eviction
-    /// order compaction uses.
-    touch: HashMap<u64, u64>,
+    /// The live entry per fingerprint (last write wins).
+    entries: HashMap<u64, Entry>,
     /// Monotonic recency clock.
     clock: u64,
+    /// Sum of the entries' `bytes`: the size a bound holds down, and the
+    /// size of the file a compaction writes.
+    bytes: u64,
 }
 
 impl JournalState {
-    fn bump(&mut self, fp: u64) {
+    fn insert(&mut self, fp: u64, label: &str, stats: RunStats, bytes: u64) {
         self.clock += 1;
-        let clock = self.clock;
-        self.touch.insert(fp, clock);
+        let entry = Entry {
+            stats,
+            label: label.to_owned(),
+            bytes,
+            touch: self.clock,
+        };
+        self.bytes += bytes;
+        if let Some(old) = self.entries.insert(fp, entry) {
+            self.bytes -= old.bytes;
+        }
     }
+
+    /// The eviction choice both backings share: the live fingerprints,
+    /// oldest-touched first, split into the least-recently-used victims
+    /// that must go for the rest to fit in `max_bytes`, and the survivors.
+    fn select(&self, max_bytes: Option<u64>) -> (Vec<u64>, Vec<u64>) {
+        let mut by_touch: Vec<(u64, u64)> =
+            self.entries.iter().map(|(&fp, e)| (e.touch, fp)).collect();
+        by_touch.sort_unstable();
+        let mut victims: Vec<u64> = by_touch.into_iter().map(|(_, fp)| fp).collect();
+        let mut bytes = self.bytes;
+        let mut first_kept = 0;
+        while max_bytes.is_some_and(|cap| bytes > cap) {
+            bytes -= self.entries[&victims[first_kept]].bytes;
+            first_kept += 1;
+        }
+        let kept = victims.split_off(first_kept);
+        (victims, kept)
+    }
+}
+
+/// Renders one journal line (no trailing newline). Records and compaction
+/// both write through it, so an entry's size has one measure, and a
+/// survivor that compaction re-renders is byte-identical to the line its
+/// record appended (the units codec is exact).
+fn render_line(fp: u64, label: &str, stats: &RunStats) -> String {
+    let mut line = format!(
+        "{{\"v\":{JOURNAL_VERSION},\"fp\":\"{fp:016x}\",\"label\":\"{}\",",
+        json_escape(label)
+    );
+    push_stats_json(&mut line, stats);
+    line.push('}');
+    line
 }
 
 // ------------------------------------------------------------- compaction
 
 /// What survives a [`Journal::compact`] pass: all live records (superseded
 /// duplicate lines and torn tails are always dropped), optionally bounded
-/// by an LRU eviction policy.
+/// by least-recently-used eviction.
 #[derive(Debug, Clone, Default)]
 pub struct CompactPolicy {
-    /// Evict least-recently-used records until the rewritten journal is at
-    /// most this many bytes. `None` keeps every live record.
+    /// Evict least-recently-used records until the live records' lines
+    /// total at most this many bytes. `None` keeps every live record.
     pub max_bytes: Option<u64>,
-    /// Evict least-recently-used records until at most this many remain.
-    /// `None` keeps every live record.
-    pub max_entries: Option<usize>,
 }
 
 impl CompactPolicy {
@@ -235,11 +284,11 @@ impl CompactPolicy {
     }
 }
 
-/// The observable instants of a compaction pass, in execution order. The
-/// crash-consistency tests (and the `SUBWARP_COMPACT_CRASH` hook in
-/// `subwarp-serve compact`) kill the process at each one and assert the
-/// on-disk journal is *either* the old bytes or the new bytes, never a torn
-/// hybrid.
+/// The observable instants of a compaction pass on disk, in execution
+/// order. The crash-consistency tests (and the `SUBWARP_COMPACT_CRASH`
+/// hook in `subwarp-serve compact`) kill the process at each one and
+/// assert the on-disk journal is *either* the old bytes or the new bytes,
+/// never a torn hybrid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompactStep {
     /// Before the replacement file is written (a stale `.compact` tmp from
@@ -282,10 +331,11 @@ impl CompactStep {
     }
 }
 
-/// What a compaction pass did (all zero for an in-memory journal).
+/// What a compaction pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactStats {
-    /// Journal size before, in bytes.
+    /// Journal size before, in bytes: the file on disk, the live entries'
+    /// lines in memory.
     pub before_bytes: u64,
     /// Journal size after, in bytes.
     pub after_bytes: u64,
@@ -311,7 +361,7 @@ impl Journal {
         let lock = acquire_lock(&path)?;
         let mut state = JournalState::default();
         let mut other_versions = false;
-        let file = open_jsonl(&path, |line, v| {
+        let file = open_jsonl(&path, |_, v| {
             if v.get("v").and_then(Value::as_u64) != Some(JOURNAL_VERSION) {
                 other_versions = true;
                 return;
@@ -320,17 +370,18 @@ impl Journal {
                 .str_field("fp")
                 .and_then(|h| u64::from_str_radix(h, 16).ok());
             if let Some((fp, stats)) = fp.zip(stats_from_json(&v)) {
-                state.completed.insert(fp, stats);
-                state.lines.insert(fp, line.to_owned());
+                let label = v.str_field("label").unwrap_or_default();
+                let bytes = render_line(fp, label, &stats).len() as u64 + 1;
                 // Initial recency = line order: a compacted journal (written
                 // oldest-touched first) reloads with its LRU order intact.
-                state.bump(fp);
+                state.insert(fp, label, stats, bytes);
             }
         })?;
         let journal = Journal {
-            restored: state.completed.len(),
+            restored: state.entries.len(),
             state: Mutex::new(state),
             compactions: AtomicU64::new(0),
+            max_bytes: None,
             disk: Some(Disk {
                 path,
                 file: Mutex::new(file),
@@ -343,16 +394,37 @@ impl Journal {
         Ok(journal)
     }
 
-    /// A journal with no file and no lock: lookups, records and the
-    /// recency clock behave as on disk, results die with the process, and
-    /// [`compact`](Journal::compact) is a no-op.
+    /// A journal with no file and no lock: lookups, records, the recency
+    /// clock and eviction behave as on disk, and results die with the
+    /// process. Unbounded unless [`with_max_bytes`](Journal::with_max_bytes)
+    /// is set.
     pub fn in_memory() -> Journal {
         Journal {
             restored: 0,
             state: Mutex::default(),
             compactions: AtomicU64::new(0),
+            max_bytes: None,
             disk: None,
         }
+    }
+
+    /// Bounds the journal to `bytes` of live entries, measured as the
+    /// length of their journal lines on either backing. When a
+    /// [`record`](Journal::record) takes the store past the bound, it
+    /// evicts least-recently-used entries until the store is at most half
+    /// of it, so passes amortize instead of firing on every record. On disk
+    /// the pass is the crash-consistent [`compact`](Journal::compact)
+    /// rewrite; in memory the same victims are dropped. A journal already
+    /// over the bound evicts at once. A failed pass leaves the store as it
+    /// was, and the next record that finds it over the bound retries.
+    pub fn with_max_bytes(mut self, bytes: u64) -> Journal {
+        self.max_bytes = Some(bytes);
+        let _ = self.pass(Some(bytes), Some(bytes / 2), &mut |_| {});
+        self
+    }
+
+    fn lock_state(&self) -> std::sync::MutexGuard<'_, JournalState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Cells restored from disk when the journal was opened (0 in memory).
@@ -360,13 +432,9 @@ impl Journal {
         self.restored
     }
 
-    /// Entries currently held (restored plus recorded this run).
+    /// Entries currently held (restored plus recorded, minus evicted).
     pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .completed
-            .len()
+        self.lock_state().entries.len()
     }
 
     /// True when the journal holds no entries.
@@ -375,15 +443,15 @@ impl Journal {
     }
 
     /// Bytes the journal file currently occupies on disk (0 in memory or
-    /// if the file does not exist yet). The `--compact-at` trigger polls
-    /// this.
+    /// if the file does not exist yet).
     pub fn disk_bytes(&self) -> u64 {
         self.disk.as_ref().map_or(0, |d| {
             std::fs::metadata(&d.path).map(|m| m.len()).unwrap_or(0)
         })
     }
 
-    /// Compaction passes completed on this handle.
+    /// Compaction and eviction passes completed on this handle, on either
+    /// backing.
     pub fn compactions(&self) -> u64 {
         self.compactions.load(Ordering::Relaxed)
     }
@@ -392,45 +460,39 @@ impl Journal {
     /// earlier (or concurrent) run. Counts as a *use* for the LRU eviction
     /// order.
     pub fn lookup(&self, fp: u64) -> Option<RunStats> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let found = st.completed.get(&fp).cloned();
-        if found.is_some() {
-            st.bump(fp);
-        }
-        found
+        let mut st = self.lock_state();
+        let JournalState { entries, clock, .. } = &mut *st;
+        let entry = entries.get_mut(&fp)?;
+        *clock += 1;
+        entry.touch = *clock;
+        Some(entry.stats.clone())
     }
 
     /// Records a completed cell: appends one line and flushes so the result
-    /// survives a SIGKILL arriving right after. In memory only the map and
-    /// the recency clock change.
+    /// survives a SIGKILL arriving right after (in memory only the entries
+    /// change), then keeps the journal under its bound, if it has one.
     ///
     /// Ordering matters for compaction soundness: the in-memory state is
     /// updated *before* the disk append, so any record whose bytes made it
     /// to the file is already visible to a concurrent compaction snapshot
     /// (compaction takes the file lock first, then the state lock) and can
-    /// never be dropped from the rewritten journal.
+    /// never be dropped from the rewritten journal. No lock is held across
+    /// the eviction pass.
     pub fn record(&self, fp: u64, label: &str, stats: &RunStats) {
-        let Some(disk) = &self.disk else {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.completed.insert(fp, stats.clone());
-            st.bump(fp);
-            return;
+        let line = render_line(fp, label, stats);
+        let over = {
+            let mut st = self.lock_state();
+            st.insert(fp, label, stats.clone(), line.len() as u64 + 1);
+            self.max_bytes.filter(|&cap| st.bytes > cap)
         };
-        let mut line = format!(
-            "{{\"v\":{JOURNAL_VERSION},\"fp\":\"{fp:016x}\",\"label\":\"{}\",",
-            json_escape(label)
-        );
-        push_stats_json(&mut line, stats);
-        line.push('}');
-        {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.completed.insert(fp, stats.clone());
-            st.lines.insert(fp, line.clone());
-            st.bump(fp);
+        if let Some(disk) = &self.disk {
+            let mut f = disk.file.lock().unwrap_or_else(|e| e.into_inner());
+            // A failed append degrades resume granularity, never the sweep.
+            let _ = append_line(&mut f, &line);
         }
-        let mut f = disk.file.lock().unwrap_or_else(|e| e.into_inner());
-        // A failed append degrades resume granularity, never the sweep.
-        let _ = append_line(&mut f, &line);
+        if let Some(cap) = over {
+            let _ = self.pass(Some(cap), Some(cap / 2), &mut |_| {});
+        }
     }
 
     /// Rewrites the journal keeping only live records (superseded duplicate
@@ -443,93 +505,89 @@ impl Journal {
     /// hands off from the old inode to the new one, and the append handle
     /// is reopened on the new file under the held file mutex so no
     /// concurrent [`record`](Journal::record) can write to the unlinked
-    /// original. An in-memory journal returns zero [`CompactStats`].
+    /// original. An in-memory journal drops the same victims and writes
+    /// nothing.
     pub fn compact(&self, policy: &CompactPolicy) -> std::io::Result<CompactStats> {
         self.compact_with_hook(policy, &mut |_| {})
     }
 
     /// [`compact`](Journal::compact) with an observation hook invoked at
-    /// each [`CompactStep`]. The crash-consistency tests pass hooks that
-    /// abort or unwind mid-pass; a hook that unwinds leaves the *in-memory*
-    /// journal unspecified (drop it and reopen from disk — exactly what a
-    /// restart does), while the on-disk journal is intact at every step.
+    /// each [`CompactStep`] of a pass on disk. The crash-consistency tests
+    /// pass hooks that abort or unwind mid-pass; a hook that unwinds leaves
+    /// the *in-memory* journal unspecified (drop it and reopen from disk —
+    /// exactly what a restart does), while the on-disk journal is intact at
+    /// every step. An in-memory pass has no steps.
     pub fn compact_with_hook(
         &self,
         policy: &CompactPolicy,
         hook: &mut dyn FnMut(CompactStep),
     ) -> std::io::Result<CompactStats> {
-        let Some(disk) = &self.disk else {
-            return Ok(CompactStats::default());
-        };
+        self.pass(None, policy.max_bytes, hook)
+    }
+
+    /// A compaction pass down to `max_bytes` of live entries. With `over`,
+    /// a pass that finds them at most `over` — a concurrent record's pass
+    /// got there first — does nothing.
+    fn pass(
+        &self,
+        over: Option<u64>,
+        max_bytes: Option<u64>,
+        hook: &mut dyn FnMut(CompactStep),
+    ) -> std::io::Result<CompactStats> {
         // File lock first, then state: appends are paused, and every
         // record whose bytes reached the file is in the state snapshot.
-        let mut file = disk.file.lock().unwrap_or_else(|e| e.into_inner());
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let before_bytes = self.disk_bytes();
-
-        // Survivors: live fps ordered oldest-touched first, so the
-        // rewritten file reloads with its recency order intact.
-        let mut by_touch: Vec<(u64, u64)> = st
-            .touch
-            .iter()
-            .filter(|(fp, _)| st.lines.contains_key(fp))
-            .map(|(&fp, &t)| (t, fp))
-            .collect();
-        by_touch.sort_unstable();
-        let line_bytes =
-            |st: &JournalState, fp: u64| st.lines.get(&fp).map_or(0, |l| l.len() as u64 + 1);
-        let mut total_bytes: u64 = by_touch.iter().map(|&(_, fp)| line_bytes(&st, fp)).sum();
-        let mut first_kept = 0usize;
-        while first_kept < by_touch.len() {
-            let count = by_touch.len() - first_kept;
-            let over_bytes = policy.max_bytes.is_some_and(|cap| total_bytes > cap);
-            let over_entries = policy.max_entries.is_some_and(|cap| count > cap);
-            if !over_bytes && !over_entries {
-                break;
-            }
-            total_bytes -= line_bytes(&st, by_touch[first_kept].1);
-            first_kept += 1;
+        let mut file = self
+            .disk
+            .as_ref()
+            .map(|d| d.file.lock().unwrap_or_else(|e| e.into_inner()));
+        let mut st = self.lock_state();
+        if over.is_some_and(|cap| st.bytes <= cap) {
+            return Ok(CompactStats::default());
         }
-        let evicted: Vec<u64> = by_touch[..first_kept].iter().map(|&(_, fp)| fp).collect();
-        let kept: Vec<u64> = by_touch[first_kept..].iter().map(|&(_, fp)| fp).collect();
-
-        let mut content = String::with_capacity(total_bytes as usize);
-        for fp in &kept {
-            content.push_str(&st.lines[fp]);
-            content.push('\n');
-        }
-
-        hook(CompactStep::Begin);
-        let tmp = {
-            let mut p = disk.path.as_os_str().to_owned();
-            p.push(".compact");
-            PathBuf::from(p)
+        let before_bytes = if self.disk.is_some() {
+            self.disk_bytes()
+        } else {
+            st.bytes
         };
-        {
-            let mut t = std::fs::File::create(&tmp)?;
-            t.write_all(content.as_bytes())?;
-            t.flush()?;
-            hook(CompactStep::TmpWritten);
-            t.sync_all()?;
+        // Survivors are written oldest-touched first, so the rewritten file
+        // reloads with its recency order intact.
+        let (evicted, kept) = st.select(max_bytes);
+        if let (Some(disk), Some(file)) = (&self.disk, file.as_mut()) {
+            let mut content = String::with_capacity(st.bytes as usize);
+            for fp in &kept {
+                let e = &st.entries[fp];
+                content.push_str(&render_line(*fp, &e.label, &e.stats));
+                content.push('\n');
+            }
+            hook(CompactStep::Begin);
+            let mut tmp = disk.path.as_os_str().to_owned();
+            tmp.push(".compact");
+            {
+                let mut t = std::fs::File::create(&tmp)?;
+                t.write_all(content.as_bytes())?;
+                t.flush()?;
+                hook(CompactStep::TmpWritten);
+                t.sync_all()?;
+            }
+            hook(CompactStep::TmpSynced);
+            std::fs::rename(&tmp, &disk.path)?;
+            hook(CompactStep::Renamed);
+            sync_parent_dir(&disk.path);
+            hook(CompactStep::DirSynced);
+            // Swap the append handle onto the new inode before releasing
+            // the file lock; a pending record then appends to the live
+            // journal.
+            **file = std::fs::OpenOptions::new().append(true).open(&disk.path)?;
         }
-        hook(CompactStep::TmpSynced);
-        std::fs::rename(&tmp, &disk.path)?;
-        hook(CompactStep::Renamed);
-        sync_parent_dir(&disk.path);
-        hook(CompactStep::DirSynced);
-
-        // Swap the append handle onto the new inode before releasing the
-        // file lock; a pending record then appends to the live journal.
-        *file = std::fs::OpenOptions::new().append(true).open(&disk.path)?;
         for fp in &evicted {
-            st.completed.remove(fp);
-            st.lines.remove(fp);
-            st.touch.remove(fp);
+            if let Some(e) = st.entries.remove(fp) {
+                st.bytes -= e.bytes;
+            }
         }
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(CompactStats {
             before_bytes,
-            after_bytes: content.len() as u64,
+            after_bytes: st.bytes,
             kept: kept.len(),
             evicted: evicted.len(),
         })

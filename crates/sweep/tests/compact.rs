@@ -166,8 +166,21 @@ fn crash_at_every_step_leaves_old_or_new_journal_never_torn() {
     }
 }
 
+/// The summed length of the last line each of `fps` has in the journal
+/// file, newlines included: the bytes those records occupy once compacted.
+fn line_bytes(path: &PathBuf, fps: &[u64]) -> u64 {
+    let text = std::fs::read_to_string(path).unwrap();
+    fps.iter()
+        .map(|fp| {
+            let key = format!("\"fp\":\"{fp:016x}\"");
+            let line = text.lines().rfind(|l| l.contains(&key)).unwrap();
+            line.len() as u64 + 1
+        })
+        .sum()
+}
+
 #[test]
-fn lru_eviction_bounds_entries_and_prefers_recently_used() {
+fn lru_eviction_bounds_bytes_and_prefers_recently_used() {
     let t = TempJournal::new("lru");
     seed_journal(&t.path, 10);
     let j = Journal::open(&t.path).unwrap();
@@ -175,14 +188,15 @@ fn lru_eviction_bounds_entries_and_prefers_recently_used() {
     for fp in [2u64, 4, 6, 8, 10] {
         assert!(j.lookup(fp).is_some());
     }
+    let cap = line_bytes(&t.path, &[2, 4, 6, 8, 10]);
     let stats = j
         .compact(&CompactPolicy {
-            max_entries: Some(5),
-            max_bytes: None,
+            max_bytes: Some(cap),
         })
         .unwrap();
     assert_eq!(stats.kept, 5);
     assert_eq!(stats.evicted, 5);
+    assert_eq!(stats.after_bytes, cap);
     for fp in [2u64, 4, 6, 8, 10] {
         assert!(j.lookup(fp).is_some(), "recently-used {fp} must survive");
     }
@@ -196,15 +210,104 @@ fn lru_eviction_bounds_entries_and_prefers_recently_used() {
     drop(j);
     let j = Journal::open(&t.path).unwrap();
     assert_eq!(j.restored(), 5);
+    let cap = line_bytes(&t.path, &[8, 10]);
     let stats = j
         .compact(&CompactPolicy {
-            max_entries: Some(2),
-            max_bytes: None,
+            max_bytes: Some(cap),
         })
         .unwrap();
     assert_eq!((stats.kept, stats.evicted), (2, 3));
     assert!(j.lookup(8).is_some());
     assert!(j.lookup(10).is_some());
+}
+
+/// The bytes one `stats_for(fp)` record occupies in a journal file.
+fn one_line_bytes(fp: u64) -> u64 {
+    let t = TempJournal::new(&format!("one_line_{fp}"));
+    let j = Journal::open(&t.path).unwrap();
+    j.record(fp, &format!("cell-{fp}"), &stats_for(fp));
+    j.disk_bytes()
+}
+
+#[test]
+fn bounded_journals_evict_least_recently_used_on_record() {
+    let line = one_line_bytes(100);
+    let bound = 10 * line;
+    let t = TempJournal::new("bounded");
+    let disk = Journal::open(&t.path).unwrap().with_max_bytes(bound);
+    let mem = Journal::in_memory().with_max_bytes(bound);
+    // Fingerprint 1 is looked up after every record, so it is never the
+    // least recently used entry and must outlive all its contemporaries.
+    let mut passes = 0;
+    for fp in 1..=60u64 {
+        for j in [&disk, &mem] {
+            let before = j.len();
+            j.record(fp, &format!("cell-{fp}"), &stats_for(fp));
+            if j.len() <= before {
+                passes += 1;
+            }
+            assert!(j.lookup(fp).is_some(), "the newest entry {fp} survives");
+            assert!(j.lookup(1).is_some(), "the hot entry survives record {fp}");
+        }
+        assert!(
+            disk.disk_bytes() <= bound,
+            "record {fp}: {} bytes on disk over the bound {bound}",
+            disk.disk_bytes()
+        );
+        // Same entries, same measure: the in-memory store holds what the
+        // file does.
+        assert_eq!(mem.len(), disk.len(), "record {fp}");
+        assert!(mem.len() as u64 * (line - 8) <= bound, "record {fp}");
+        // A pass counts exactly when a record evicted something.
+        assert_eq!(disk.compactions() + mem.compactions(), passes);
+    }
+    assert!(disk.compactions() >= 4, "passes: {}", disk.compactions());
+    assert_eq!(disk.compactions(), mem.compactions());
+    // Evicting to half the bound amortizes: far fewer passes than records.
+    assert!(disk.compactions() < 60 / 3);
+    for j in [&disk, &mem] {
+        let held: Vec<u64> = (1..=60).filter(|&fp| j.lookup(fp).is_some()).collect();
+        // The survivors are the hot entry and the newest records.
+        let newest = &held[1..];
+        assert_eq!(held[0], 1);
+        assert_eq!(
+            newest,
+            &((61 - newest.len() as u64)..=60).collect::<Vec<_>>()[..]
+        );
+    }
+}
+
+#[test]
+fn a_reopened_bounded_journal_restores_exactly_the_survivors() {
+    let line = one_line_bytes(100);
+    let t = TempJournal::new("bounded_reopen");
+    let survivors: Vec<u64> = {
+        let j = Journal::open(&t.path).unwrap().with_max_bytes(8 * line);
+        for fp in 1..=30u64 {
+            j.record(fp, &format!("cell-{fp}"), &stats_for(fp));
+        }
+        assert!(j.compactions() > 0);
+        (1..=30).filter(|&fp| j.lookup(fp).is_some()).collect()
+    };
+    assert!(!survivors.is_empty() && survivors.len() < 30);
+    let j = Journal::open(&t.path).unwrap();
+    assert_eq!(j.restored(), survivors.len());
+    for fp in 1..=30u64 {
+        let want = survivors.contains(&fp).then(|| stats_for(fp));
+        assert_eq!(j.lookup(fp), want, "fingerprint {fp}");
+    }
+    drop(j);
+    // A bound the reopened store is already over evicts at once, keeping
+    // the most recently used entries.
+    let j = Journal::open(&t.path).unwrap().with_max_bytes(2 * line);
+    assert_eq!(j.compactions(), 1);
+    assert!(j.disk_bytes() <= line, "{} bytes left", j.disk_bytes());
+    assert_eq!(j.len(), 1);
+    assert!(j.lookup(*survivors.last().unwrap()).is_some());
+    // A bound it is under evicts nothing.
+    drop(j);
+    let j = Journal::open(&t.path).unwrap().with_max_bytes(2 * line);
+    assert_eq!((j.compactions(), j.len()), (0, 1));
 }
 
 #[test]
@@ -217,7 +320,6 @@ fn byte_budget_eviction_shrinks_under_the_cap() {
     let stats = j
         .compact(&CompactPolicy {
             max_bytes: Some(cap),
-            max_entries: None,
         })
         .unwrap();
     assert!(

@@ -135,19 +135,27 @@ fn journal_roundtrip_restores_stats_exactly() {
     assert!(mem.lookup(1).is_none());
     assert_eq!(mem.len(), 1);
     assert_eq!((mem.restored(), mem.disk_bytes()), (0, 0));
-    let zero = CompactStats::default();
-    assert_eq!(mem.compact(&CompactPolicy::keep_all()).unwrap(), zero);
+    // Compaction in memory runs the same selection with no file: keeping
+    // all drops nothing, and a zero byte budget evicts the entry. Neither
+    // pass has a file step, and both count.
+    let kept = mem.compact(&CompactPolicy::keep_all()).unwrap();
+    assert_eq!((kept.kept, kept.evicted), (1, 0));
+    assert!(kept.before_bytes > 0 && kept.after_bytes == kept.before_bytes);
     let mut steps = 0;
-    let tight = CompactPolicy {
-        max_entries: Some(0),
-        ..CompactPolicy::keep_all()
-    };
+    let tight = CompactPolicy { max_bytes: Some(0) };
+    let cs = mem.compact_with_hook(&tight, &mut |_| steps += 1).unwrap();
     assert_eq!(
-        mem.compact_with_hook(&tight, &mut |_| steps += 1).unwrap(),
-        zero
+        cs,
+        CompactStats {
+            before_bytes: kept.before_bytes,
+            after_bytes: 0,
+            kept: 0,
+            evicted: 1,
+        }
     );
-    assert_eq!((steps, mem.compactions()), (0, 0));
-    assert_eq!(mem.lookup(0xDEAD_BEEF).unwrap(), stats, "nothing evicted");
+    assert_eq!((steps, mem.compactions(), mem.disk_bytes()), (0, 2, 0));
+    assert!(mem.lookup(0xDEAD_BEEF).is_none(), "the entry was evicted");
+    assert!(mem.is_empty());
     let created: Vec<PathBuf> = files()
         .into_iter()
         .filter(|p| !before.contains(p))
